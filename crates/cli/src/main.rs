@@ -523,14 +523,23 @@ fn sweep_grid(args: &[String]) -> ExitCode {
         return usage();
     };
     let spm_ladder = spm_ladder.unwrap_or_else(|| vec![config.spm_bytes >> 20]);
+    let Some(rungs) = spm_ladder
+        .iter()
+        .map(|&mib| Some(config.clone().with_spm_bytes(mib.checked_mul(1 << 20)?)))
+        .collect::<Option<Vec<NpuConfig>>>()
+    else {
+        eprintln!("--spm values must be at most {} MiB", u64::MAX >> 20);
+        return usage();
+    };
 
-    // The grid, technique-innermost so each (spm, model) block is
-    // contiguous and its first entry is that block's normalization base.
-    let mut points: Vec<(u64, usize, Technique)> = Vec::new();
-    for &mib in &spm_ladder {
+    // The grid as (rung, model, technique), technique-innermost so each
+    // (spm, model) block is contiguous and its first entry is that block's
+    // normalization base.
+    let mut points: Vec<(usize, usize, Technique)> = Vec::new();
+    for s in 0..rungs.len() {
         for mi in 0..models.len() {
             for &t in &techniques {
-                points.push((mib, mi, t));
+                points.push((s, mi, t));
             }
         }
     }
@@ -545,10 +554,6 @@ fn sweep_grid(args: &[String]) -> ExitCode {
             // capacity-oblivious profiler answers every SPM rung from a
             // single schedule pass. Scatter the per-rung reports back into
             // the grid's spm-outer row order.
-            let rungs: Vec<NpuConfig> = spm_ladder
-                .iter()
-                .map(|&mib| config.clone().with_spm_bytes(mib << 20))
-                .collect();
             let mut tasks: Vec<(usize, Technique)> = Vec::new();
             for mi in 0..models.len() {
                 for &t in &techniques {
@@ -569,21 +574,20 @@ fn sweep_grid(args: &[String]) -> ExitCode {
                 .map(|r| r.expect("ladder answered every grid point"))
                 .collect()
         } else {
-            parallel_map(&points, |&(mib, mi, technique)| {
-                let rung = config.clone().with_spm_bytes(mib << 20);
-                simulate_model_with(&models[mi], &rung, technique, &options)
+            parallel_map(&points, |&(s, mi, technique)| {
+                simulate_model_with(&models[mi], &rungs[s], technique, &options)
             })
         }
     });
 
     let block = techniques.len();
     let mut csv = String::from("config,spm_mib,model,technique,cycles,dram_mib,vs_first\n");
-    for (i, ((mib, mi, technique), r)) in points.iter().zip(&reports).enumerate() {
+    for (i, ((s, mi, technique), r)) in points.iter().zip(&reports).enumerate() {
         let base_cycles = reports[i - i % block].total_cycles();
         csv.push_str(&format!(
             "{},{},{},{},{},{},{:.4}\n",
             config.name,
-            mib,
+            spm_ladder[*s],
             models[*mi].name,
             technique.label(),
             r.total_cycles(),
@@ -598,13 +602,13 @@ fn sweep_grid(args: &[String]) -> ExitCode {
         let win = (b..b + block)
             .min_by_key(|&i| (reports[i].total_cycles(), i))
             .unwrap();
-        let (mib, mi, technique) = points[win];
+        let (s, mi, technique) = points[win];
         if !best.is_empty() {
             best.push(',');
         }
         best.push_str(&format!(
             "{{\"spm_mib\":{},\"model\":\"{}\",\"technique\":\"{}\",\"cycles\":{}}}",
-            mib,
+            spm_ladder[s],
             models[mi].name,
             technique.label(),
             reports[win].total_cycles(),
@@ -845,7 +849,7 @@ fn cmd_perf(which: &str) -> ExitCode {
             fast_wall, fast_eng_runs, fast_analytic
         );
         println!(
-            "bit-identical: {}   analytic speedup {:.1}x (target >= 10x)",
+            "bit-identical: {}   analytic speedup {:.1}x",
             if identical { "yes" } else { "NO" },
             eng_wall / fast_wall,
         );

@@ -111,11 +111,17 @@ pub fn parse_spm_ladder(arg: &str) -> Option<Vec<u64>> {
 
 /// Parse a comma-separated technique list (names as in
 /// [`parse_technique`]), e.g. `baseline,rearrangement,data-partitioning`.
+/// Repeats (including aliases of one technique) are dropped, keeping
+/// first-occurrence order: the first listed technique is the sweep's
+/// normalization base.
 pub fn parse_techniques(arg: &str) -> Option<Vec<Technique>> {
-    let list: Vec<Technique> = arg
-        .split(',')
-        .map(|p| parse_technique(p.trim()))
-        .collect::<Option<Vec<Technique>>>()?;
+    let mut list: Vec<Technique> = Vec::new();
+    for name in arg.split(',') {
+        let technique = parse_technique(name.trim())?;
+        if !list.contains(&technique) {
+            list.push(technique);
+        }
+    }
     if list.is_empty() {
         None
     } else {
@@ -202,6 +208,19 @@ mod tests {
             Some(vec![Technique::Baseline, Technique::DataPartitioning])
         );
         assert!(parse_techniques("baseline,magic").is_none());
+    }
+
+    #[test]
+    fn duplicate_techniques_keep_first_occurrence_order() {
+        assert_eq!(
+            parse_techniques("rearrangement,baseline,rearrangement,baseline"),
+            Some(vec![Technique::Rearrangement, Technique::Baseline])
+        );
+        // Aliases name the same technique.
+        assert_eq!(
+            parse_techniques("partitioning,baseline,data-partitioning"),
+            Some(vec![Technique::DataPartitioning, Technique::Baseline])
+        );
     }
 
     #[test]

@@ -406,7 +406,11 @@ fn spec_algorithm1(gemm: GemmShape, config: &NpuConfig) -> BackwardOrder {
 ///
 /// * the [`AnalyticCollector`] replay must be tagged [`Exactness::Exact`]
 ///   and reproduce [`Engine::run`]'s [`SimReport`] bit for bit (including
-///   the float-derived cycle counts);
+///   the float-derived cycle counts). Both drive the same residency
+///   structure (`ReplayOptCache`), so this checks emission, dense-id
+///   mapping, rank packing and timelines, not victim choice: the
+///   [`OptCache`] shadow replay of [`check_report_conservation`] is the
+///   independent oracle for that;
 /// * [`Engine::lower_bound`] (the pruning bound) must not exceed the
 ///   simulated cycles;
 /// * the closed-form [`backward_emission_bound`] must be admissible field

@@ -15,11 +15,9 @@
 //!   (`base + r·cols + c`) instead of interned through a hash map.
 //!   [`AnalyticCollector::replay`] then advances the same two timelines as
 //!   [`crate::Engine::run`], in the same floating-point operation order,
-//!   over a Belady replacement model ([`ReplayOptCache`]) whose eviction
-//!   decisions are provably identical to [`crate::opt::DenseOptCache`]'s
-//!   (same `(next_use, TileKey)` victim ordering, same bypass rule, same
-//!   write-back accounting) but implemented with a position-indexed victim
-//!   bitset instead of a `BTreeSet`. The resulting [`SimReport`] is
+//!   over the same Belady replacement model the engine uses
+//!   ([`ReplayOptCache`], ranked by a packed `u64` order-isomorphic to
+//!   [`crate::trace::TileKey`]). The resulting [`SimReport`] is
 //!   bit-identical to the engine's — fuzz-asserted in `core::audit`.
 //!
 //! * **[`Exactness::LowerBound`] — closed form, no emission at all.** For
@@ -41,10 +39,10 @@
 //! mirrors.
 
 use crate::engine::{Engine, Replacement};
+use crate::opt::{ReplayOptCache, NO_USE};
 use crate::stats::{SimReport, Traffic};
 use crate::trace::{ScheduleSink, StreamOp, TensorId, TileOpSpec};
 use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How an analytic result relates to the cycle engine's report.
@@ -93,9 +91,6 @@ pub(crate) const DIRTY_BIT: u32 = 1 << 31;
 
 /// Byte-count mask of [`AccessRec::bytes_dirty`].
 pub(crate) const BYTES_MASK: u32 = DIRTY_BIT - 1;
-
-/// "Not used again" sentinel of the next-use oracle.
-pub(crate) const NO_USE: u32 = u32::MAX;
 
 /// One recorded tile access, packed to 16 bytes so replay streams a
 /// cache line per four accesses.
@@ -253,273 +248,6 @@ impl ScheduleSink for AnalyticCollector {
             bytes_dirty: 0,
         });
         self.ops.push(OpRec::Barrier);
-    }
-}
-
-/// Per-tile replacement state, packed to 12 bytes: the slot array is the
-/// replay loop's only randomly-indexed memory, so its footprint bounds the
-/// loop's cache behaviour.
-#[derive(Debug, Clone, Copy, Default)]
-struct ReplaySlot {
-    bytes: u32,
-    next_use: u32,
-    dirty: bool,
-    resident: bool,
-    spilled: bool,
-}
-
-/// Belady replacement with eviction decisions identical to
-/// [`crate::opt::DenseOptCache`] but backed by a position-indexed victim
-/// bitset instead of an ordered set.
-///
-/// The `BTreeSet` variant pays two ordered-set operations per *hit*
-/// (remove the old `(next_use, key)` entry, insert the new one). The key
-/// observation here is that a next-use value is a *stream position*, and
-/// any position is the next use of at most one tile — so "resident tile
-/// with the farthest finite next use" is simply the highest set bit of a
-/// bitset indexed by position, and a hit is two O(1) bit flips. Residents
-/// with *no* further use in their region ([`NO_USE`]) outrank every finite
-/// position and are tie-broken by tile key, exactly matching the ordered
-/// set's `(next_use, key)` maximum — they sit in a small max-heap keyed by
-/// the packed rank. Victim selection — including the bypass rule — is
-/// therefore bit-identical to `DenseOptCache`'s.
-#[derive(Debug, Default)]
-pub struct ReplayOptCache {
-    capacity: u64,
-    used: u64,
-    slots: Vec<ReplaySlot>,
-    /// Bit `p` set iff some resident tile's current next-use is stream
-    /// position `p`.
-    live_bits: Vec<u64>,
-    /// Stream position → resident tile id; valid only where the
-    /// corresponding `live_bits` bit is set.
-    by_next_use: Vec<u32>,
-    /// Residents with no further use in their region, max packed rank
-    /// first — they outrank every finite-next-use resident as victims.
-    dead: BinaryHeap<(u64, u32)>,
-    /// Upper bound on the highest set bit of `live_bits`.
-    max_hint: u32,
-    hits: u64,
-    misses: u64,
-}
-
-impl ReplayOptCache {
-    /// Prepare for a run over `num_tiles` dense ids with `capacity` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn reset(&mut self, capacity: u64, num_tiles: usize, stream_len: usize) {
-        assert!(capacity > 0, "SPM residency capacity must be positive");
-        self.capacity = capacity;
-        self.used = 0;
-        self.slots.clear();
-        self.slots.resize(num_tiles, ReplaySlot::default());
-        self.live_bits.clear();
-        self.live_bits.resize(stream_len.div_ceil(64), 0);
-        // Stale contents are fine — entries are read only under a set bit.
-        self.by_next_use.resize(stream_len, 0);
-        self.dead.clear();
-        self.max_hint = 0;
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Register `pos` as the next use of resident tile `id`.
-    #[inline]
-    fn set_live(&mut self, pos: u32, id: u32) {
-        self.live_bits[(pos >> 6) as usize] |= 1u64 << (pos & 63);
-        self.by_next_use[pos as usize] = id;
-        if pos > self.max_hint {
-            self.max_hint = pos;
-        }
-    }
-
-    /// Drop the registration of position `pos`.
-    #[inline]
-    fn clear_live(&mut self, pos: u32) {
-        self.live_bits[(pos >> 6) as usize] &= !(1u64 << (pos & 63));
-    }
-
-    /// The eviction victim — the resident maximising `(next_use, key)` —
-    /// as `(next_use, id)`, without removing it. The caller must ensure a
-    /// resident exists (`used > 0`).
-    fn peek_victim(&mut self) -> (u32, u32) {
-        if let Some(&(_, id)) = self.dead.peek() {
-            return (NO_USE, id);
-        }
-        let mut w = (self.max_hint >> 6) as usize;
-        loop {
-            let word = self.live_bits[w];
-            if word != 0 {
-                let pos = ((w as u32) << 6) | (63 - word.leading_zeros());
-                self.max_hint = pos;
-                return (pos, self.by_next_use[pos as usize]);
-            }
-            debug_assert!(w > 0, "used > 0 implies a resident victim");
-            w -= 1;
-        }
-    }
-
-    fn evict(&mut self, victim_next: u32, id: u32, writebacks: &mut Vec<(u32, u64)>) {
-        if victim_next == NO_USE {
-            self.dead.pop();
-        } else {
-            self.clear_live(victim_next);
-        }
-        let victim = &mut self.slots[id as usize];
-        debug_assert!(victim.resident, "victim index/slot state out of sync");
-        debug_assert_eq!(victim.next_use, victim_next, "stale victim registration");
-        victim.resident = false;
-        self.used -= victim.bytes as u64;
-        if victim.dirty {
-            writebacks.push((id, victim.bytes as u64));
-            victim.spilled = true;
-        }
-    }
-
-    /// Access tile `id`; semantics identical to `DenseOptCache::access`.
-    /// `rank` is the packed `TileKey` order (see `AccessRec::rank`).
-    pub fn access(
-        &mut self,
-        id: u32,
-        rank: u64,
-        bytes: u32,
-        dirty: bool,
-        next_use: u32,
-        writebacks: &mut Vec<(u32, u64)>,
-    ) -> u64 {
-        let slot = &mut self.slots[id as usize];
-        if slot.resident {
-            // A tile's bytes are constant across accesses (the schedule
-            // emits one size per tile), so a hit leaves `used` unchanged and
-            // the capacity invariant (`used <= capacity` after every access)
-            // cannot break here — no eviction check is needed. This access
-            // *is* the tile's registered next use (the oracle pointed
-            // here), so the old registration is retired and the new
-            // next-use position registered: two O(1) bit flips.
-            debug_assert_eq!(slot.bytes, bytes, "a tile's access bytes are constant");
-            let old = slot.next_use;
-            debug_assert_ne!(old, NO_USE, "a dead resident cannot be accessed again");
-            slot.next_use = next_use;
-            slot.dirty |= dirty;
-            self.hits += 1;
-            self.clear_live(old);
-            if next_use == NO_USE {
-                self.dead.push((rank, id));
-            } else {
-                self.set_live(next_use, id);
-            }
-            return 0;
-        }
-
-        self.misses += 1;
-        let fetched = if dirty && !slot.spilled {
-            0
-        } else {
-            bytes as u64
-        };
-
-        let mut admitted = bytes as u64 <= self.capacity;
-        while admitted && self.used + bytes as u64 > self.capacity {
-            let (victim_next, victim_id) = self.peek_victim();
-            if victim_next <= next_use {
-                admitted = false;
-                break;
-            }
-            self.evict(victim_next, victim_id, writebacks);
-        }
-
-        let slot = &mut self.slots[id as usize];
-        if admitted {
-            slot.resident = true;
-            slot.bytes = bytes;
-            slot.dirty = dirty;
-            slot.next_use = next_use;
-            self.used += bytes as u64;
-            if next_use == NO_USE {
-                self.dead.push((rank, id));
-            } else {
-                self.set_live(next_use, id);
-            }
-        } else if dirty {
-            writebacks.push((id, bytes as u64));
-            slot.spilled = true;
-        }
-        fetched
-    }
-
-    /// [`Self::access`] specialised to a barrier region whose distinct-tile
-    /// footprint fits in `capacity`: no eviction can ever fire (residency
-    /// grows monotonically and tops out at the footprint), so the next-use
-    /// oracle, the victim index, and all capacity checks are dead weight —
-    /// a first touch admits unconditionally and every later touch is a
-    /// hit. The victim index is left untouched; the barrier `clear` that
-    /// ends the region resets it before any bounded-path access can
-    /// observe it.
-    pub(crate) fn access_unbounded(&mut self, id: u32, bytes: u32, dirty: bool) -> u64 {
-        let slot = &mut self.slots[id as usize];
-        if slot.resident {
-            slot.dirty |= dirty;
-            self.hits += 1;
-            0
-        } else {
-            self.misses += 1;
-            let fetched = if dirty && !slot.spilled {
-                0
-            } else {
-                bytes as u64
-            };
-            slot.resident = true;
-            slot.bytes = bytes;
-            slot.dirty = dirty;
-            fetched
-        }
-    }
-
-    /// Drop all residency and forget spill history (kernel boundary).
-    ///
-    /// The victim bitset needs no reset: the next-use oracle never chains
-    /// across a barrier, so every resident's final pre-barrier access
-    /// already retired its registration (and moved it to `dead`).
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = ReplaySlot {
-                next_use: slot.next_use,
-                ..ReplaySlot::default()
-            };
-        }
-        debug_assert!(
-            self.live_bits.iter().all(|&w| w == 0),
-            "no next-use registration survives a barrier"
-        );
-        self.dead.clear();
-        self.max_hint = 0;
-        self.used = 0;
-    }
-
-    /// Flush all dirty residents into `writebacks` (they stay resident but
-    /// become clean). Write-back *order* differs from `DenseOptCache`
-    /// (dense-id order instead of eviction order) — irrelevant to the
-    /// report, whose flush accounting is a commutative sum.
-    pub fn flush(&mut self, writebacks: &mut Vec<(u32, u64)>) {
-        for (id, slot) in self.slots.iter_mut().enumerate() {
-            if slot.resident && slot.dirty {
-                writebacks.push((id as u32, slot.bytes as u64));
-                slot.dirty = false;
-                slot.spilled = true;
-            }
-        }
     }
 }
 

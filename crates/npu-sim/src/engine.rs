@@ -17,12 +17,12 @@
 //!
 //! Because an NPU scratchpad is *compiler-managed* and the whole schedule
 //! is known ahead of time, the default residency model is Belady's OPT
-//! ([`crate::opt::OptCache`]) over the schedule's access stream. LRU
-//! ([`crate::SpmCache`]) is available as an ablation via
-//! [`Engine::with_replacement`].
+//! ([`crate::opt::ReplayOptCache`], the structure the analytic replay
+//! shares) over the schedule's access stream. LRU ([`crate::SpmCache`]) is
+//! available as an ablation via [`Engine::with_replacement`].
 
 use crate::config::NpuConfig;
-use crate::opt::DenseOptCache;
+use crate::opt::{ReplayOptCache, NO_USE};
 use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, TraceEvent};
 use crate::spm::SpmCache;
 use crate::stats::{SimReport, Traffic};
@@ -30,6 +30,7 @@ use crate::systolic::SystolicModel;
 use crate::trace::{Schedule, ScheduleOp, TileKey};
 use igo_tensor::TensorClass;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SPM residency policy.
@@ -57,6 +58,34 @@ pub fn engine_run_count() -> u64 {
 /// Sentinel id marking a kernel boundary in the flattened access stream.
 const BARRIER_ID: u32 = u32::MAX;
 
+/// Multiplicative (Fx-style) hasher for the tile-intern table. A `TileKey`
+/// hashes as three small integers, for which SipHash's flooding resistance
+/// buys nothing and costs most of the interning time.
+#[derive(Default)]
+struct TileKeyHasher(u64);
+
+impl Hasher for TileKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are the well-mixed ones; rotate them
+        // into the low bits the table indexes by.
+        self.0.rotate_left(26)
+    }
+}
+
 /// Reusable engine working memory: the flattened access stream, the interned
 /// tile-id table, the next-use oracle and the residency model's slot
 /// storage. One scratch serves any number of `run_with_scratch` calls;
@@ -65,24 +94,25 @@ const BARRIER_ID: u32 = u32::MAX;
 #[derive(Default)]
 pub struct EngineScratch {
     /// TileKey → dense id, built once per run.
-    intern: HashMap<TileKey, u32>,
+    intern: HashMap<TileKey, u32, BuildHasherDefault<TileKeyHasher>>,
     /// Dense id → TileKey (for replacement-order tie-breaking).
     keys: Vec<TileKey>,
     /// Dense id → traffic class, memoized from the schedule's tensor table.
     classes: Vec<TensorClass>,
     /// Flattened accesses: `(dense id, bytes, dirty)`; barriers appear as
     /// `(BARRIER_ID, 0, false)` sentinels.
-    stream: Vec<(u32, u64, bool)>,
+    stream: Vec<(u32, u32, bool)>,
     /// Stream position of each op's first access.
     op_access_start: Vec<usize>,
-    /// Per-access position of the next access to the same tile.
-    next_use: Vec<usize>,
+    /// Per-access position of the next access to the same tile
+    /// ([`NO_USE`] if none).
+    next_use: Vec<u32>,
     /// Dense id → latest stream position seen (next-use back-scan state).
-    last_seen: Vec<usize>,
+    last_seen: Vec<u32>,
     /// Eviction write-back landing buffer, drained after every access.
     writebacks: Vec<(u32, u64)>,
-    /// Reusable Belady replacement state.
-    opt: DenseOptCache,
+    /// Reusable Belady replacement state, tie-broken by `TileKey`.
+    opt: ReplayOptCache<TileKey>,
 }
 
 impl EngineScratch {
@@ -318,15 +348,20 @@ impl Engine {
                     id
                 })
             };
+            let slot_bytes = |bytes: u64| -> u32 {
+                u32::try_from(bytes).unwrap_or_else(|_| {
+                    panic!("tile access of {bytes} bytes overflows the u32 residency slot")
+                })
+            };
             for op in schedule.ops() {
                 op_access_start.push(stream.len());
                 match op {
                     ScheduleOp::Gemm(g) => {
                         for r in &g.reads {
-                            stream.push((intern_id(r.key), r.bytes, false));
+                            stream.push((intern_id(r.key), slot_bytes(r.bytes), false));
                         }
                         if let Some(a) = &g.acc {
-                            stream.push((intern_id(a.key), a.bytes, true));
+                            stream.push((intern_id(a.key), slot_bytes(a.bytes), true));
                         }
                     }
                     ScheduleOp::Barrier => stream.push((BARRIER_ID, 0, false)),
@@ -338,26 +373,28 @@ impl Engine {
         // Next-use oracle: for every access, the position of the next
         // access to the same tile (the knowledge a compiler has when
         // allocating SPM) — a dense back-scan over interned ids.
+        assert!(
+            stream.len() < NO_USE as usize,
+            "access stream of {} positions overflows the u32 next-use slots",
+            stream.len()
+        );
         next_use.clear();
-        next_use.resize(stream.len(), usize::MAX);
+        next_use.resize(stream.len(), NO_USE);
         last_seen.clear();
-        last_seen.resize(keys.len(), usize::MAX);
+        last_seen.resize(keys.len(), NO_USE);
         for pos in (0..stream.len()).rev() {
             let (id, _, _) = stream[pos];
             if id == BARRIER_ID {
-                last_seen.fill(usize::MAX);
+                last_seen.fill(NO_USE);
             } else {
-                let later = last_seen[id as usize];
-                if later != usize::MAX {
-                    next_use[pos] = later;
-                }
-                last_seen[id as usize] = pos;
+                next_use[pos] = last_seen[id as usize];
+                last_seen[id as usize] = pos as u32;
             }
         }
 
         let mut lru = match self.replacement {
             Replacement::Opt => {
-                opt.reset(self.residency_bytes, keys.len());
+                opt.reset(self.residency_bytes, keys.len(), stream.len());
                 None
             }
             Replacement::Lru => Some(SpmCache::new(self.residency_bytes)),
@@ -387,16 +424,17 @@ impl Engine {
                     let mut bursts = 0u64;
                     let n_accesses = g.reads.len() + usize::from(g.acc.is_some());
                     for pos in start..start + n_accesses {
-                        let (id, bytes, dirty) = stream[pos];
+                        let (id, slot_bytes, dirty) = stream[pos];
                         debug_assert_ne!(id, BARRIER_ID, "gemm slots are never barriers");
+                        let bytes = u64::from(slot_bytes);
                         spm_bytes_touched += bytes;
                         let (got, was_hit) = match &mut lru {
                             None => {
                                 let hits_before = if R::ENABLED { opt.hits() } else { 0 };
-                                let got = opt.access(
+                                let got = opt.access_resizable(
                                     id,
                                     keys[id as usize],
-                                    bytes,
+                                    slot_bytes,
                                     dirty,
                                     next_use[pos],
                                     writebacks,
@@ -533,7 +571,7 @@ impl Engine {
                     // The next kernel cannot start its loads before the
                     // previous kernel's compute has finished.
                     match &mut lru {
-                        None => opt.flush(writebacks),
+                        None => flush_opt::<R>(opt, keys, writebacks),
                         Some(c) => {
                             writebacks.extend(c.flush().into_iter().map(|(k, b)| (intern[&k], b)))
                         }
@@ -579,7 +617,7 @@ impl Engine {
         // Recorded events attribute the flush to a synthetic op index one
         // past the end of the schedule.
         match &mut lru {
-            None => opt.flush(writebacks),
+            None => flush_opt::<R>(opt, keys, writebacks),
             Some(c) => writebacks.extend(c.flush().into_iter().map(|(k, b)| (intern[&k], b))),
         }
         if !writebacks.is_empty() {
@@ -628,6 +666,20 @@ impl Engine {
             macs,
             spm_bytes_touched,
         }
+    }
+}
+
+/// Flush the OPT model's dirty residents into `writebacks`. A recorded run
+/// lists them in ascending `TileKey` order, so traces do not depend on
+/// interning order; the report sums them and needs no sort.
+fn flush_opt<R: Recorder>(
+    opt: &mut ReplayOptCache<TileKey>,
+    keys: &[TileKey],
+    writebacks: &mut Vec<(u32, u64)>,
+) {
+    opt.flush(writebacks);
+    if R::ENABLED {
+        writebacks.sort_unstable_by_key(|&(id, _)| keys[id as usize]);
     }
 }
 
@@ -822,6 +874,65 @@ mod tests {
         assert_eq!(r.traffic.read(TensorClass::OutGrad), 2 * 1600);
         assert_eq!(r.traffic.write(TensorClass::WGrad), 1600);
         assert_eq!(r.traffic.read(TensorClass::WGrad), 0);
+    }
+
+    #[test]
+    fn recorded_flush_write_backs_ascend_by_tile_key() {
+        // Accumulators are first touched against key order, so dense ids
+        // run opposite to it; the barrier flush and the final flush must
+        // still list their write-backs in ascending `TileKey` order.
+        let e = tiny_engine(10_000);
+        let mut s = Schedule::new("flush-order");
+        let dx = s.add_tensor(TensorClass::InGrad, "dX");
+        let dw = s.add_tensor(TensorClass::WGrad, "dW");
+        for region in 0..2 {
+            if region > 0 {
+                s.push_barrier();
+            }
+            for j in (0..3).rev() {
+                s.push_gemm(TileOp::new(GemmShape::new(16, 16, 16)).accumulate(
+                    dw,
+                    TileCoord::new(0, j),
+                    400,
+                ));
+                s.push_gemm(TileOp::new(GemmShape::new(16, 16, 16)).accumulate(
+                    dx,
+                    TileCoord::new(j, 0),
+                    400,
+                ));
+            }
+        }
+        let mut log = crate::recorder::EventLog::new();
+        let report = e.run_recorded(&s, &mut EngineScratch::new(), &mut log);
+        assert_eq!(report, e.run(&s), "recording never steers the run");
+        let flushed = |at: u32| -> Vec<TileKey> {
+            log.events
+                .iter()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::WriteBack {
+                        op,
+                        key,
+                        spill: false,
+                        ..
+                    } if op == at => Some(key),
+                    _ => None,
+                })
+                .collect()
+        };
+        let key = |tensor, r, c| TileKey {
+            tensor,
+            coord: TileCoord::new(r, c),
+        };
+        let ascending = vec![
+            key(dx, 0, 0),
+            key(dx, 1, 0),
+            key(dx, 2, 0),
+            key(dw, 0, 0),
+            key(dw, 0, 1),
+            key(dw, 0, 2),
+        ];
+        assert_eq!(flushed(6), ascending, "barrier flush");
+        assert_eq!(flushed(s.len() as u32), ascending, "final flush");
     }
 
     #[test]

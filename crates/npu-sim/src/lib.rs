@@ -62,7 +62,7 @@ pub mod trace;
 pub use analysis::{reuse_distances, reuse_profile, Reuse, ReuseProfile};
 pub use analytic::{
     analytic_run_count, compute_sum, grid_sum, AnalyticCollector, AnalyticReport, AnalyticScratch,
-    Axis, BoundAccum, Exactness, GridSum, ReplayOptCache,
+    Axis, BoundAccum, Exactness, GridSum,
 };
 pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};
@@ -73,7 +73,7 @@ pub use multicore::{
     run_sequential_partitions, run_sequential_partitions_with_scratch, sequential_combined,
     MultiCoreReport,
 };
-pub use opt::{DenseOptCache, OptCache};
+pub use opt::{OptCache, ReplayOptCache};
 pub use recorder::{
     AccessKind, ClassMetrics, DyReusePoint, EventLog, NullRecorder, Phase, Recorder,
     ReuseHistogram, RunMetrics, TileStats, TraceEvent, REUSE_BUCKETS,

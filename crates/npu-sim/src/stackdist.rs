@@ -37,10 +37,11 @@
 //! that provably *is* capacity-oblivious.
 
 use crate::analytic::{
-    bump_analytic_runs, AnalyticCollector, AnalyticReport, Exactness, OpRec, ReplayOptCache,
-    BARRIER_ID, BYTES_MASK, DIRTY_BIT, NO_USE,
+    bump_analytic_runs, AnalyticCollector, AnalyticReport, Exactness, OpRec, BARRIER_ID,
+    BYTES_MASK, DIRTY_BIT,
 };
 use crate::engine::{Engine, Replacement};
+use crate::opt::{ReplayOptCache, NO_USE};
 use crate::stats::{SimReport, Traffic};
 use igo_tensor::GemmShape;
 

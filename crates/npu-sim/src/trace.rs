@@ -49,11 +49,91 @@ pub struct TileAccess {
     pub bytes: u64,
 }
 
+/// The operand reads of a [`TileOp`], stored inline. A tile GEMM reads at
+/// most two operand tiles (the cap [`TileOpSpec::read`] enforces too), so
+/// a materialised schedule allocates no per-op read list. Dereferences to
+/// the filled prefix as a slice.
+#[derive(Clone, Copy)]
+pub struct TileReads {
+    len: u8,
+    slots: [TileAccess; 2],
+}
+
+impl TileReads {
+    const EMPTY: TileAccess = TileAccess {
+        key: TileKey {
+            tensor: TensorId(0),
+            coord: TileCoord { r: 0, c: 0 },
+        },
+        bytes: 0,
+    };
+
+    /// No reads.
+    pub const fn new() -> Self {
+        Self {
+            len: 0,
+            slots: [Self::EMPTY; 2],
+        }
+    }
+
+    /// Append a read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both read slots are already taken.
+    pub fn push(&mut self, access: TileAccess) {
+        assert!(self.len < 2, "tile op already has two reads");
+        self.slots[self.len as usize] = access;
+        self.len += 1;
+    }
+}
+
+impl Default for TileReads {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::ops::Deref for TileReads {
+    type Target = [TileAccess];
+
+    fn deref(&self) -> &[TileAccess] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl std::ops::DerefMut for TileReads {
+    fn deref_mut(&mut self) -> &mut [TileAccess] {
+        &mut self.slots[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a TileReads {
+    type Item = &'a TileAccess;
+    type IntoIter = std::slice::Iter<'a, TileAccess>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for TileReads {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for TileReads {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One tiled GEMM operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileOp {
-    /// Operand tiles read by this op.
-    pub reads: Vec<TileAccess>,
+    /// Operand tiles read by this op (at most two).
+    pub reads: TileReads,
     /// Result tile this op accumulates into, if any.
     pub acc: Option<TileAccess>,
     /// Dimensions of the tile GEMM performed.
@@ -64,13 +144,17 @@ impl TileOp {
     /// Start building a tile op that performs `compute`.
     pub fn new(compute: GemmShape) -> Self {
         Self {
-            reads: Vec::with_capacity(2),
+            reads: TileReads::new(),
             acc: None,
             compute,
         }
     }
 
     /// Add an operand tile read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op already has two reads.
     #[must_use]
     pub fn read(mut self, tensor: TensorId, coord: TileCoord, bytes: u64) -> Self {
         self.reads.push(TileAccess {
@@ -131,8 +215,7 @@ impl TileAccessSpec {
 
 /// A `Copy` description of one tiled GEMM, produced by schedule builders
 /// and consumed by a [`ScheduleSink`]. A [`Schedule`] sink materialises it
-/// as a [`TileOp`] (heap-allocated read list); the analytic collector
-/// consumes it without any allocation.
+/// as a [`TileOp`]; the analytic collector consumes it directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileOpSpec {
     /// Up to two operand reads, filled front-to-back.
@@ -433,7 +516,7 @@ impl Schedule {
             match op {
                 ScheduleOp::Gemm(g) => {
                     let mut g = g.clone();
-                    for r in &mut g.reads {
+                    for r in g.reads.iter_mut() {
                         r.key.tensor = TensorId(r.key.tensor.0 + base);
                     }
                     if let Some(a) = &mut g.acc {
@@ -549,6 +632,37 @@ mod tests {
         assert_eq!(f.num_tensors(), 4);
         assert_eq!(s.num_tensors(), 3, "parent untouched");
         assert_eq!(f.class_of(extra), TensorClass::Partial);
+    }
+
+    #[test]
+    fn reads_are_inline_and_ordered() {
+        let s = demo_schedule();
+        let ScheduleOp::Gemm(g) = &s.ops()[1] else {
+            panic!("demo ops are gemms");
+        };
+        assert_eq!(g.reads.len(), 2);
+        assert_eq!(g.reads[0].key.tensor, TensorId::from_raw(0));
+        assert_eq!(g.reads[1].key.coord, TileCoord::new(1, 0));
+        assert_eq!(g.operand_bytes(), 2048);
+        // Equality sees only the filled reads.
+        let one = TileOp::new(GemmShape::new(1, 1, 1)).read(
+            TensorId::from_raw(0),
+            TileCoord::new(0, 0),
+            4,
+        );
+        assert_eq!(one.reads.len(), 1);
+        assert_eq!(one, one.clone());
+        assert_ne!(one, TileOp::new(GemmShape::new(1, 1, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "already has two reads")]
+    fn third_read_panics() {
+        let t = TensorId::from_raw(0);
+        let _ = TileOp::new(GemmShape::new(1, 1, 1))
+            .read(t, TileCoord::new(0, 0), 4)
+            .read(t, TileCoord::new(0, 1), 4)
+            .read(t, TileCoord::new(0, 2), 4);
     }
 
     #[test]

@@ -26,6 +26,12 @@ cargo bench -p igo-bench --no-run
 echo "== cargo test =="
 cargo test -q
 
+echo "== benchmark package tests =="
+# simbench is a package of its own (outside the workspace), so the
+# workspace test run above never builds it; this catches public-API
+# changes that break the benchmark.
+cargo test --release --offline --manifest-path simbench/Cargo.toml
+
 echo "== fixed-seed differential fuzz-audit =="
 # Tee the JSON summary to a file so CI can print it and upload it as an
 # artifact on failure; `pipefail` preserves the audit's exit code.
