@@ -7,7 +7,7 @@
 //! igo-sim sweep   <model>                     bandwidth sweep on the large NPU
 //! igo-sim sweep   <model|zoo> --spm <ladder> [--techniques <list>]
 //!                 [--config C] [--out DIR]
-//!                 [--no-profile]              SPM × technique × model grid
+//!                 [--per-point]               SPM × technique × model grid
 //! igo-sim perf    [edge|server|all]           pipeline self-measurement
 //! igo-sim audit   [--seeds N] [--seed S]      differential fuzz-audit
 //! igo-sim trace   <model|MxKxN> <config> [--out DIR] [--technique T]
@@ -22,11 +22,11 @@
 //! (`--spm`, MiB) × techniques × models (`zoo` sweeps the whole suite of
 //! the base config) — across the worker pool, with the analytic fast-path
 //! engine evaluating each point. On a single-core base config with two or
-//! more rungs, each `(model, technique)` pair is profiled *once* by the
-//! capacity-oblivious stack-distance profiler and every SPM rung is
-//! answered from that one pass; `--no-profile` forces the per-grid-point
-//! path instead (results are bit-identical either way). With `--out` it
-//! writes `sweep.csv` and `summary.json`; otherwise both go to stdout.
+//! more rungs, each `(model, technique)` pair is one task that evaluates
+//! every SPM rung, sharing each candidate's emission across the rungs it
+//! is identical on; `--per-point` makes every grid point its own task
+//! instead (results are bit-identical either way). With `--out` it writes
+//! `sweep.csv` and `summary.json`; otherwise both go to stdout.
 //!
 //! The global `--jobs N` flag caps the worker pool (equivalent to setting
 //! `IGO_SIM_THREADS=N`); results are identical for every worker count.
@@ -63,7 +63,7 @@ use parse::{parse_config, parse_model};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  igo-sim [--timing] [--jobs N] models\n  igo-sim [--timing] [--jobs N] ladder <model> <edge|server|serverxN>\n  igo-sim [--timing] [--jobs N] layer <M> <K> <N> <edge|server>\n  igo-sim [--timing] [--jobs N] sweep <model>\n  igo-sim [--timing] [--jobs N] sweep <model|zoo> --spm <mib,..> [--techniques <t,..>] [--config <edge|server|serverxN>] [--out DIR] [--no-profile]\n  igo-sim [--timing] [--jobs N] perf [edge|server|all]\n  igo-sim [--timing] [--jobs N] audit [--seeds N] [--seed S]\n  igo-sim [--timing] [--jobs N] trace <model|MxKxN> <edge|server|serverxN> [--out DIR] [--technique T]"
+        "usage:\n  igo-sim [--timing] [--jobs N] models\n  igo-sim [--timing] [--jobs N] ladder <model> <edge|server|serverxN>\n  igo-sim [--timing] [--jobs N] layer <M> <K> <N> <edge|server>\n  igo-sim [--timing] [--jobs N] sweep <model>\n  igo-sim [--timing] [--jobs N] sweep <model|zoo> --spm <mib,..> [--techniques <t,..>] [--config <edge|server|serverxN>] [--out DIR] [--per-point]\n  igo-sim [--timing] [--jobs N] perf [edge|server|all]\n  igo-sim [--timing] [--jobs N] audit [--seeds N] [--seed S]\n  igo-sim [--timing] [--jobs N] trace <model|MxKxN> <edge|server|serverxN> [--out DIR] [--technique T]"
     );
     ExitCode::from(2)
 }
@@ -456,8 +456,8 @@ fn suite_for(config: &NpuConfig) -> &'static [ModelId] {
 ///
 /// On a single-core base config with a multi-rung ladder the default path
 /// fans one task per `(model, technique)` pair across the worker pool and
-/// lets [`simulate_model_ladder`] answer every rung from one
-/// capacity-oblivious profiling pass; `--no-profile` (or a multi-core
+/// lets [`simulate_model_ladder`] answer every rung, emitting each
+/// candidate once per distinct blocking; `--per-point` (or a multi-core
 /// config, or a single rung) falls back to one task per grid point. Row
 /// order, formats and results are identical on both paths and for every
 /// worker count.
@@ -466,12 +466,12 @@ fn sweep_grid(args: &[String]) -> ExitCode {
     let mut spm_ladder: Option<Vec<u64>> = None;
     let mut techniques: Vec<Technique> = Technique::LADDER.to_vec();
     let mut out_dir: Option<String> = None;
-    let mut profile = true;
+    let mut per_point = false;
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--no-profile" => profile = false,
+            "--per-point" => per_point = true,
             "--config" => match it.next().and_then(|v| parse_config(v)) {
                 Some(c) => config = c,
                 None => {
@@ -547,13 +547,12 @@ fn sweep_grid(args: &[String]) -> ExitCode {
     let analytic_before = analytic_run_count();
     let cache_before = sim_cache_stats();
     let options = SimOptions::optimized();
-    let use_ladder = profile && spm_ladder.len() >= 2 && config.cores == 1;
+    let use_ladder = !per_point && spm_ladder.len() >= 2 && config.cores == 1;
     let (reports, wall) = measure(|| {
         if use_ladder {
-            // Profiled path: one task per (model, technique) pair; the
-            // capacity-oblivious profiler answers every SPM rung from a
-            // single schedule pass. Scatter the per-rung reports back into
-            // the grid's spm-outer row order.
+            // Ladder path: one task per (model, technique) pair answers
+            // every SPM rung. Scatter the per-rung reports back into the
+            // grid's spm-outer row order.
             let mut tasks: Vec<(usize, Technique)> = Vec::new();
             for mi in 0..models.len() {
                 for &t in &techniques {
@@ -722,33 +721,6 @@ fn perf_ladder_arm(
     )
 }
 
-/// The profiled counterpart of [`perf_ladder_arm`]: the same suite and
-/// ladder answered by [`simulate_model_ladder`], which profiles each
-/// candidate schedule once and reads every rung off the capacity curve.
-/// Reports come back in the flat arm's order (rung-outer, model-inner) so
-/// the two arms compare element-for-element.
-fn perf_profile_arm(
-    models: &[Model],
-    ladder: &[NpuConfig],
-    options: &SimOptions,
-) -> (Vec<ModelReport>, f64, u64) {
-    let analytic_before = analytic_run_count();
-    let (reports, wall) = measure(|| {
-        let by_model: Vec<Vec<ModelReport>> = models
-            .iter()
-            .map(|m| simulate_model_ladder(m, ladder, Technique::DataPartitioning, options))
-            .collect();
-        let mut out = Vec::with_capacity(ladder.len() * models.len());
-        for s in 0..ladder.len() {
-            for per_rung in &by_model {
-                out.push(per_rung[s].clone());
-            }
-        }
-        out
-    });
-    (reports, wall, analytic_run_count() - analytic_before)
-}
-
 /// Bit-exact comparison of two sweep results: every layer's forward and
 /// backward reports (cycles, per-class traffic, counters) and the
 /// scheduler decisions must match.
@@ -768,10 +740,9 @@ fn reports_identical(a: &[ModelReport], b: &[ModelReport]) -> bool {
 
 /// Pipeline self-measurement: the full-zoo data-partitioning sweep on the
 /// sequential reference path and twice on the optimized path (cold cache,
-/// then warm); the analytic fast path versus the cycle engine over an SPM
-/// ladder; and the capacity-oblivious profiler versus per-rung analytic
-/// replay over the same ladder. Every arm must be bit-identical; the
-/// speedups are printed for `scripts/bench.sh` to record.
+/// then warm), and the analytic fast path versus the cycle engine over an
+/// SPM ladder. Every arm must be bit-identical; the speedups are printed
+/// for `scripts/bench.sh` to record.
 fn cmd_perf(which: &str) -> ExitCode {
     let configs: Vec<NpuConfig> = match which {
         "edge" => vec![NpuConfig::small_edge()],
@@ -852,43 +823,6 @@ fn cmd_perf(which: &str) -> ExitCode {
             "bit-identical: {}   analytic speedup {:.1}x",
             if identical { "yes" } else { "NO" },
             eng_wall / fast_wall,
-        );
-
-        // The capacity-oblivious profiler's gate: the same ladder answered
-        // by one profiling pass per candidate schedule versus an
-        // independent analytic replay per rung. Memoization is off in BOTH
-        // arms so neither arm can be served from caches the other
-        // populated; the comparison is pure profile-once vs
-        // replay-per-rung cost.
-        println!(
-            "== {} : capacity-oblivious profiler, cold-cache SPM-ladder sweep ==",
-            config.name
-        );
-        let flat_opts = SimOptions {
-            memoize: false,
-            capacity_profile: false,
-            ..SimOptions::optimized()
-        };
-        let prof_opts = SimOptions {
-            memoize: false,
-            ..SimOptions::optimized()
-        };
-        let (flat, flat_wall, _, flat_analytic) = perf_ladder_arm(&models, &ladder, &flat_opts);
-        let (prof, prof_wall, prof_analytic) = perf_profile_arm(&models, &ladder, &prof_opts);
-        let identical = reports_identical(&flat, &prof);
-        ok &= identical;
-        println!(
-            "flat-replay   {:>8.3}s  ({} analytic runs)",
-            flat_wall, flat_analytic
-        );
-        println!(
-            "profiled      {:>8.3}s  ({} analytic runs)",
-            prof_wall, prof_analytic
-        );
-        println!(
-            "bit-identical: {}   profile speedup {:.2}x",
-            if identical { "yes" } else { "NO" },
-            flat_wall / prof_wall,
         );
     }
     if ok {

@@ -223,6 +223,83 @@ mod tests {
         );
     }
 
+    /// Seeded random and mutated-valid strings through every parser: no
+    /// input may panic, and every accepted value must satisfy the
+    /// parser's contract.
+    #[test]
+    fn parsers_never_panic_on_random_input() {
+        const PIECES: &[&str] = &[
+            "0",
+            "1",
+            "7",
+            "24",
+            "99999999999999999999999",
+            "-",
+            "+",
+            ",",
+            " ",
+            "x",
+            "X",
+            "server",
+            "serverx",
+            "edge",
+            "res",
+            "bert-tiny",
+            "baseline",
+            "oracle",
+            "é",
+            "\u{0}",
+            "\t",
+            ",,",
+        ];
+        const VALID: &[&str] = &[
+            "3,6,12,24",
+            "512x256x1024",
+            "serverx4",
+            "bert-tiny",
+            "data-partitioning",
+            "baseline, rearrangement",
+        ];
+        let mut rng = igo_tensor::SplitMix64::new(0x9a45_e5f2);
+        for _ in 0..20_000 {
+            let mut input: String = if rng.range_u64(0, 2) == 0 {
+                (0..rng.range_u64(0, 8))
+                    .map(|_| PIECES[rng.index(PIECES.len())])
+                    .collect()
+            } else {
+                VALID[rng.index(VALID.len())].to_string()
+            };
+            // Mutate: splice a random piece in at a random char boundary.
+            if rng.range_u64(0, 2) == 0 {
+                let cut = input
+                    .char_indices()
+                    .map(|(i, _)| i)
+                    .nth(rng.index(input.chars().count() + 1))
+                    .unwrap_or(input.len());
+                input.insert_str(cut, PIECES[rng.index(PIECES.len())]);
+            }
+            let _ = parse_model(&input);
+            let _ = parse_technique(&input);
+            if let Some(config) = parse_config(&input) {
+                assert!((1..=8).contains(&config.cores), "{input:?}");
+            }
+            if let Some(g) = parse_mkn(&input) {
+                assert!(g.m() > 0 && g.k() > 0 && g.n() > 0, "{input:?}");
+            }
+            if let Some(ladder) = parse_spm_ladder(&input) {
+                assert!(!ladder.is_empty() && ladder[0] > 0, "{input:?}");
+                assert!(ladder.windows(2).all(|w| w[0] < w[1]), "{input:?}");
+            }
+            if let Some(list) = parse_techniques(&input) {
+                assert!(!list.is_empty(), "{input:?}");
+                assert!(
+                    list.iter().enumerate().all(|(i, t)| !list[..i].contains(t)),
+                    "{input:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn parses_configs() {
         assert_eq!(parse_config("edge").unwrap().cores, 1);

@@ -2,8 +2,8 @@
 //! every cell, and the best-technique frontier — must be byte-identical
 //! for every worker count (whether capped by the global `--jobs` flag or
 //! the `IGO_SIM_THREADS` environment variable) and on both execution
-//! paths (the default capacity-oblivious profiled path and the
-//! `--no-profile` per-grid-point fallback).
+//! paths (the default SPM-ladder path and the `--per-point` per-grid-point
+//! path).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -62,10 +62,10 @@ fn sweep_grid_is_independent_of_worker_count_and_profiling_path() {
     );
     assert_eq!(best_of(&sum_serial), best_of(&sum_pool));
 
-    let (csv_flat, sum_flat) = run_sweep(&tmp, "noprofile", Some("3"), None, &["--no-profile"]);
+    let (csv_flat, sum_flat) = run_sweep(&tmp, "per-point", Some("3"), None, &["--per-point"]);
     assert_eq!(
         csv_pool, csv_flat,
-        "profiled sweep diverged from the per-grid-point path"
+        "ladder sweep diverged from the per-grid-point path"
     );
     assert_eq!(best_of(&sum_pool), best_of(&sum_flat));
 

@@ -22,3 +22,63 @@ fn sweep_spm_overflowing_bytes_is_a_usage_error() {
         assert!(!out.exists(), "a rejected sweep writes nothing");
     }
 }
+
+/// Every malformed argument the parsers reject must end the run with the
+/// usage text and exit code 2, writing nothing.
+#[test]
+fn rejected_arguments_exit_2_with_usage() {
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("rejected-args");
+    let _ = std::fs::remove_dir_all(&out);
+    let out_arg = out.to_str().expect("utf-8 temp dir");
+    let cases: &[&[&str]] = &[
+        &["sweep", "bert-tiny", "--spm", "3,0", "--out", out_arg],
+        &["sweep", "bert-tiny", "--spm", "3,,6", "--out", out_arg],
+        &["sweep", "bert-tiny", "--spm", "-4", "--out", out_arg],
+        &[
+            "sweep",
+            "bert-tiny",
+            "--spm",
+            "3",
+            "--techniques",
+            "magic",
+            "--out",
+            out_arg,
+        ],
+        &[
+            "sweep",
+            "bert-tiny",
+            "--spm",
+            "3",
+            "--config",
+            "serverx9",
+            "--out",
+            out_arg,
+        ],
+        &["sweep", "nosuch", "--spm", "3", "--out", out_arg],
+        &["sweep", "--per-point", "--out", out_arg],
+        &["trace", "0x4x4", "server", "--out", out_arg],
+        &["trace", "res", "serverx0", "--out", out_arg],
+        &[
+            "trace",
+            "res",
+            "server",
+            "--technique",
+            "magic",
+            "--out",
+            out_arg,
+        ],
+        &["layer", "1", "2", "0", "server"],
+        &["ladder", "nosuch", "edge"],
+        &["audit", "--seeds", "0"],
+    ];
+    for args in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_igo-sim"))
+            .args(*args)
+            .output()
+            .expect("spawn igo-sim");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!out.exists(), "{args:?}: a rejected run writes nothing");
+    }
+}

@@ -24,12 +24,11 @@
 //! * **Algorithm 1**: the pipeline's rearrangement decision must match an
 //!   independent recomputation of the paper's selection rule from the
 //!   tensor dimensions alone.
-//! * **Stack distance** (single-core cases): one capacity-oblivious
-//!   ladder pass over a randomly drawn SPM ladder must reproduce the solo
-//!   per-capacity replay bit for bit — report, accept/reject decision
-//!   under cycle cutoffs, and the cycle engine itself at every rung —
-//!   while the derived [`CapacityProfile`] stays exact on rungs and
-//!   admissible off them.
+//! * **Ladder** (single-core cases): the SPM-ladder path over a randomly
+//!   drawn ladder, pruning on, must give every rung the forward report,
+//!   backward report and decision of per-config simulation.
+//! * **Identical cores** (multi-core cases): replaying cores with equal
+//!   sub-GEMMs once must equal emitting and replaying every core.
 //! * **Numeric** (small dense cases): executing the decided schedule on
 //!   real tile data must reproduce the `dX = dY·Wᵀ`, `dW = Xᵀ·dY`
 //!   reference within tolerance.
@@ -40,22 +39,24 @@
 
 use crate::bound::backward_emission_bound;
 use crate::exec::{execute_backward, max_abs_diff, DenseLayer};
-use crate::partition::{partition_backward_ex, PartitionScheme};
-use crate::pipeline::{
-    rearranged_order, simulate_layer_backward_with, simulate_layer_forward_with, LayerDecision,
-    SimOptions,
+use crate::partition::{
+    partition_backward_ex, plan_partition_backward, plan_partition_forward, PartitionScheme,
 };
-use crate::schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
+use crate::pipeline::{
+    fast_layer_tensors, fresh_ids, rearranged_order, replay_cores, simulate_layer_backward_with,
+    simulate_layer_forward_with, simulate_model_ladder, FastScratch, LayerDecision, SimOptions,
+};
+use crate::schedule::{forward_schedule, BackwardBuilder, BackwardOrder, LayerTensors};
 use crate::select::ALMOST_SQUARE_THRESHOLD;
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    replay_ladder, run_multicore, run_sequential_partitions, AccessKind, AnalyticCollector,
-    AnalyticReport, AnalyticScratch, CapacityProfile, DramConfig, Engine, EngineScratch, EventLog,
-    Exactness, LadderScratch, NpuConfig, OptCache, PeArray, Schedule, ScheduleOp, SimReport,
-    TileKey, TraceEvent, Traffic,
+    replay_multicore, run_multicore, run_sequential_partitions, AccessKind, AnalyticCollector,
+    AnalyticScratch, DramConfig, Engine, EngineScratch, EventLog, Exactness, NpuConfig, OptCache,
+    PeArray, Schedule, ScheduleOp, SimReport, StreamOp, TileKey, TraceEvent, Traffic,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
+use igo_workloads::{Layer, LayerKind, Model, ModelId};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -139,8 +140,8 @@ impl AuditCase {
             prune: rng.range_u64(0, 2) == 1,
             workers: rng.range_u64(0, 4) as usize,
             analytic_fast_path: rng.range_u64(0, 2) == 1,
-            // Drawn last so every earlier field matches pre-profile seeds.
-            capacity_profile: rng.range_u64(0, 2) == 1,
+            // Drawn last so every earlier field matches pre-ladder seeds.
+            ladder: rng.range_u64(0, 2) == 1,
         };
         Self {
             seed,
@@ -344,13 +345,15 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
     checks += 1;
     violations.extend(check_analytic(case, ref_decision.order));
 
-    // Stack-distance profiler: one capacity-oblivious ladder pass must
-    // agree with solo per-capacity replays (and the engine) at every rung
-    // of a randomly drawn SPM ladder. Single-core only: the ladder models
-    // one residency domain.
+    // Ladder: grouped SPM-ladder evaluation must agree with per-config
+    // simulation at every rung of a randomly drawn ladder (single-core
+    // only: the ladder path serves single-core configs). Identical cores:
+    // reusing an equal core's report must agree with replaying every core.
+    checks += 1;
     if case.config.cores == 1 {
-        checks += 1;
-        violations.extend(check_capacity_profile(case, ref_decision.order));
+        violations.extend(check_ladder(case));
+    } else {
+        violations.extend(check_identical_cores(case, &ref_decision));
     }
 
     // Conservation: rebuild the decided execution, re-run it through the
@@ -528,205 +531,179 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
 /// generation stream itself.
 const LADDER_SALT: u64 = 0x57ac_d157_a9ce_0e1d;
 
-/// Cross-check the capacity-oblivious stack-distance profiler against the
-/// per-capacity analytic replay and the cycle engine on the decided
-/// order's unpartitioned emission.
-///
-/// A derived rng draws a small SPM ladder around the case's own residency
-/// (always including it). Then:
-///
-/// * [`replay_ladder`] with no cutoffs must reproduce a solo
-///   [`AnalyticCollector::replay_bounded`] at every rung bit for bit, and
-///   both must match [`Engine::run`] on the materialised schedule;
-/// * with per-rung cycle cutoffs drawn at and just below each rung's true
-///   cycle count, the ladder must return exactly what the solo replay
-///   returns — same accept/reject decision, bit-identical report when
-///   accepted;
-/// * [`CapacityProfile::query`] must answer profiled rungs exactly
-///   ([`Exactness::Exact`]) and answer an off-rung capacity with the
-///   compulsory floor ([`Exactness::LowerBound`]) that is admissible
-///   against a solo replay at that capacity: exact in compute cycles,
-///   op/MAC counts and SPM bytes touched; never above it in cycles,
-///   memory cycles, misses or per-class traffic; never below it in hits.
-fn check_capacity_profile(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
+/// Ladder-vs-per-config differential (single-core cases): a derived rng
+/// draws a 2–4 rung SPM ladder around the case's own SPM (always including
+/// it), and [`simulate_model_ladder`] over a one-layer model, with pruning
+/// on, must give every rung exactly what [`simulate_layer_forward_with`]
+/// and [`simulate_layer_backward_with`] give on that rung's config alone
+/// under the sequential reference — forward report, backward report and
+/// decision. The ladder shares emissions across rungs and replays each
+/// rung under its own cutoff, so this checks grouping, cutoff decisions
+/// and (when the draw memoizes) the capacity-oblivious memo.
+fn check_ladder(case: &AuditCase) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let fail = |check: &'static str, detail: String| Violation {
-        seed: case.seed,
-        check,
-        detail,
-    };
-    let policy = TilePolicy::for_config(&case.config);
-    let mut proto = Schedule::new("audit");
-    let tensors = LayerTensors::register(&mut proto, "l");
-    let builder = BackwardBuilder::new(case.gemm, policy, tensors).with_ifmap_density(case.density);
-    let mut s = proto.fork("audit-profile");
-    builder.emit(order, case.is_first, &mut s);
-    let mut collector = AnalyticCollector::new();
-    builder.register_grids(&mut collector);
-    builder.emit(order, case.is_first, &mut collector);
-
     let mut rng = SplitMix64::new(case.seed ^ LADDER_SALT);
-    let machine = Engine::new(&case.config);
-    let base = machine.residency_bytes();
-    // 2..=4 distinct rungs, 25%..400% of the case's own residency, which
-    // is always a rung itself so the engine cross-check hits the exact
-    // capacity the rest of the audit exercises.
-    let mut caps = vec![base];
+    let mut spm = vec![case.config.spm_bytes];
     for _ in 0..rng.range_u64(1, 4) {
-        caps.push((base.saturating_mul(rng.range_u64(25, 401)) / 100).max(1));
+        // 25%..400% of the case's SPM, kept even so the per-core
+        // residency (`spm / 2`) ascends strictly with the SPM size.
+        spm.push((case.config.spm_bytes.saturating_mul(rng.range_u64(25, 401)) / 200).max(1) * 2);
     }
-    caps.sort_unstable();
-    caps.dedup();
-
-    // A rung's solo reference: the same collector replayed against an
-    // engine whose residency is that rung (`cores == 1`, so residency is
-    // `spm / 2`).
-    let rung_engine =
-        |cap: u64| Engine::new(&case.config.clone().with_spm_bytes(cap.saturating_mul(2)));
-    let mut scratch = AnalyticScratch::new();
-    let solos: Vec<AnalyticReport> = caps
+    spm.sort_unstable();
+    spm.dedup();
+    if spm.len() < 2 {
+        spm.push(spm[0] * 2);
+    }
+    let configs: Vec<NpuConfig> = spm
         .iter()
-        .map(|&cap| collector.replay(&rung_engine(cap), &mut scratch))
+        .map(|&bytes| case.config.clone().with_spm_bytes(bytes))
         .collect();
-
-    let mut ladder_scratch = LadderScratch::new();
-    let unbounded = replay_ladder(
-        &collector,
-        &machine,
-        &caps,
-        &vec![None; caps.len()],
-        &mut ladder_scratch,
-    );
-    for ((&cap, solo), rung) in caps.iter().zip(&solos).zip(&unbounded) {
-        match rung {
-            Some(r) if r == solo => {}
-            other => violations.push(fail(
-                "profile-ladder-differential",
-                format!("rung {cap}: ladder {other:?} != solo {solo:?}"),
-            )),
-        }
-        let engine_report = rung_engine(cap).run(&s);
-        if solo.report != engine_report {
-            violations.push(fail(
-                "profile-engine-differential",
-                format!(
-                    "rung {cap}: solo replay {:?} != engine {engine_report:?}",
-                    solo.report
+    let options = SimOptions {
+        parallel: false,
+        memoize: rng.range_u64(0, 2) == 1,
+        prune: true,
+        workers: 0,
+        analytic_fast_path: true,
+        ladder: true,
+    };
+    let layer = Layer {
+        name: "audit".into(),
+        gemm: case.gemm,
+        count: 1,
+        kind: LayerKind::Fc,
+        groups: 1,
+        is_first: case.is_first,
+        ifmap_density: case.density,
+    };
+    let model = Model {
+        id: ModelId::Ncf,
+        name: "audit".into(),
+        batch: 1,
+        layers: vec![layer],
+        embedding_params: 0,
+    };
+    let rungs = simulate_model_ladder(&model, &configs, case.technique, &options);
+    let sequential = SimOptions::sequential();
+    for (config, rung) in configs.iter().zip(&rungs) {
+        let got = &rung.layers[0];
+        let forward = simulate_layer_forward_with(case.gemm, case.density, config, &sequential);
+        let (backward, decision) = simulate_layer_backward_with(
+            case.gemm,
+            case.density,
+            config,
+            case.technique,
+            case.is_first,
+            &sequential,
+        );
+        if (got.forward, got.backward, got.decision) != (forward, backward, decision) {
+            violations.push(Violation {
+                seed: case.seed,
+                check: "ladder-differential",
+                detail: format!(
+                    "spm {} of ladder {spm:?} ({options:?}): ladder gives forward {:?}, \
+                     backward {:?}, {:?}; per-config gives {forward:?}, {backward:?}, \
+                     {decision:?}",
+                    config.spm_bytes, got.forward, got.backward, got.decision
                 ),
-            ));
+            });
         }
-    }
-
-    // Cutoff contract: the ladder must make exactly the solo replay's
-    // accept/reject decision rung by rung, including at the two boundary
-    // cutoffs (the true cycle count, which must accept, and one below it).
-    let cutoffs: Vec<Option<u64>> = solos
-        .iter()
-        .map(|solo| match rng.range_u64(0, 3) {
-            0 => None,
-            1 => Some(solo.report.cycles),
-            _ => Some(solo.report.cycles.saturating_sub(1)),
-        })
-        .collect();
-    let bounded = replay_ladder(&collector, &machine, &caps, &cutoffs, &mut ladder_scratch);
-    for ((&cap, &cutoff), rung) in caps.iter().zip(&cutoffs).zip(&bounded) {
-        let solo = collector.replay_bounded(&rung_engine(cap), &mut scratch, cutoff);
-        if *rung != solo {
-            violations.push(fail(
-                "profile-cutoff-differential",
-                format!("rung {cap} cutoff {cutoff:?}: ladder {rung:?} != solo {solo:?}"),
-            ));
-        }
-    }
-
-    // Profile queries: exact on rungs, admissible floor off them.
-    let profile = CapacityProfile::compute(&collector, &machine, &caps, &mut ladder_scratch);
-    for (&cap, solo) in caps.iter().zip(&solos) {
-        let answer = profile.query(cap);
-        if answer != *solo || answer.exactness != Exactness::Exact {
-            violations.push(fail(
-                "profile-rung-exact",
-                format!("rung {cap}: profile {answer:?} != solo {solo:?}"),
-            ));
-        }
-    }
-    let mut off = caps.last().unwrap() + 1;
-    for _ in 0..8 {
-        let draw = (base.saturating_mul(rng.range_u64(10, 501)) / 100).max(1);
-        if !caps.contains(&draw) {
-            off = draw;
-            break;
-        }
-    }
-    let answer = profile.query(off);
-    if answer.exactness != Exactness::LowerBound {
-        violations.push(fail(
-            "profile-floor-tag",
-            format!(
-                "off-rung {off} tagged {:?}, expected LowerBound",
-                answer.exactness
-            ),
-        ));
-    }
-    let solo_off = collector.replay(&rung_engine(off), &mut scratch).report;
-    let floor = answer.report;
-    let exact = [
-        (
-            "compute_cycles",
-            floor.compute_cycles,
-            solo_off.compute_cycles,
-        ),
-        ("gemm_ops", floor.gemm_ops, solo_off.gemm_ops),
-        ("macs", floor.macs, solo_off.macs),
-        (
-            "spm_bytes_touched",
-            floor.spm_bytes_touched,
-            solo_off.spm_bytes_touched,
-        ),
-    ];
-    for (name, got, want) in exact {
-        if got != want {
-            violations.push(fail(
-                "profile-floor-exact-field",
-                format!("off-rung {off}: floor {name} {got} != solo {want}"),
-            ));
-        }
-    }
-    let mut at_most = vec![
-        ("cycles", floor.cycles, solo_off.cycles),
-        ("mem_cycles", floor.mem_cycles, solo_off.mem_cycles),
-        ("spm_misses", floor.spm_misses, solo_off.spm_misses),
-    ];
-    for class in TensorClass::ALL {
-        at_most.push((
-            class.label(),
-            floor.traffic.read(class),
-            solo_off.traffic.read(class),
-        ));
-        at_most.push((
-            class.label(),
-            floor.traffic.write(class),
-            solo_off.traffic.write(class),
-        ));
-    }
-    for (name, got, limit) in at_most {
-        if got > limit {
-            violations.push(fail(
-                "profile-floor-admissible",
-                format!("off-rung {off}: floor {name} {got} exceeds solo {limit}"),
-            ));
-        }
-    }
-    if floor.spm_hits < solo_off.spm_hits {
-        violations.push(fail(
-            "profile-floor-admissible",
-            format!(
-                "off-rung {off}: floor hits {} below solo hits {}",
-                floor.spm_hits, solo_off.spm_hits
-            ),
-        ));
     }
     violations
+}
+
+/// Identical-core differential (multi-core cases): the decided step, with
+/// cores of equal sub-GEMMs sharing one emission and one replay, must
+/// equal emitting and replaying every core on its own — per-core reports,
+/// reduction and makespan — for the backward pass and the forward pass.
+fn check_identical_cores(case: &AuditCase, decision: &LayerDecision) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    let config = &case.config;
+    let policy = TilePolicy::for_config(config);
+    let tensors = fast_layer_tensors();
+    let (scheme, parts) = decision
+        .partition
+        .unwrap_or((PartitionScheme::WeightSharing, config.cores as u64));
+    let plan = plan_partition_backward(
+        &mut fresh_ids(),
+        tensors,
+        case.gemm,
+        case.density,
+        policy.dtype,
+        scheme,
+        parts,
+        case.is_first,
+    );
+    let backward: Vec<BackwardBuilder> = plan
+        .sub_gemms
+        .iter()
+        .zip(&plan.part_tensors)
+        .map(|(&g, &t)| BackwardBuilder::new(g, policy, t).with_ifmap_density(case.density))
+        .collect();
+    let (sub_gemms, part_tensors) =
+        plan_partition_forward(&mut fresh_ids(), tensors, case.gemm, config.cores as u64);
+    let forward: Vec<BackwardBuilder> = sub_gemms
+        .iter()
+        .zip(&part_tensors)
+        .map(|(&g, &t)| BackwardBuilder::new(g, policy, t))
+        .collect();
+    let backward = reuse_differential(
+        config,
+        &backward,
+        |b, c| b.emit(decision.order, case.is_first, c),
+        plan.reduction,
+    );
+    let forward = reuse_differential(
+        config,
+        &forward,
+        |b, c| forward_schedule(b.gemm(), policy, b.tensors(), case.density, c),
+        None,
+    );
+    for (pass, detail) in [("backward", backward), ("forward", forward)] {
+        if let Some(detail) = detail {
+            violations.push(Violation {
+                seed: case.seed,
+                check: "identical-core-differential",
+                detail: format!("{pass}: {detail}"),
+            });
+        }
+    }
+    violations
+}
+
+/// The step over `builders` (one per core) replayed by the pipeline, which
+/// reuses equal cores' reports, versus every core emitted into its own
+/// collector and replayed: `Some(detail)` if they differ.
+fn reuse_differential(
+    config: &NpuConfig,
+    builders: &[BackwardBuilder],
+    emit: impl Fn(&BackwardBuilder, &mut AnalyticCollector),
+    reduction: Option<StreamOp>,
+) -> Option<String> {
+    let every: Vec<AnalyticCollector> = builders
+        .iter()
+        .map(|b| {
+            let mut c = AnalyticCollector::new();
+            b.register_grids(&mut c);
+            emit(b, &mut c);
+            c
+        })
+        .collect();
+    let every = replay_multicore(
+        config,
+        &every.iter().collect::<Vec<_>>(),
+        reduction,
+        &mut AnalyticScratch::new(),
+        None,
+    );
+    let reused = replay_cores(
+        config,
+        builders,
+        emit,
+        reduction,
+        None,
+        &mut FastScratch::default(),
+    );
+    (reused != every).then(|| format!("reused cores give {reused:?}, every core {every:?}"))
 }
 
 /// Emit the unpartitioned fused stream for `order` and verify it is a
@@ -920,7 +897,13 @@ fn check_decision_conservation(
                 decision.order,
                 case.is_first,
             );
-            let r = run_multicore(&case.config, &p.schedules, p.reduction).combined();
+            let r = run_multicore(
+                &case.config,
+                &p.schedules,
+                p.reduction,
+                &mut EngineScratch::new(),
+            )
+            .combined();
             (p.schedules, r)
         }
         Some((scheme, parts)) => {
@@ -936,8 +919,13 @@ fn check_decision_conservation(
                 case.is_first,
             );
             if case.config.cores == 1 {
-                let r =
-                    run_sequential_partitions(&case.config, &p.schedules, p.reduction).combined();
+                let r = run_sequential_partitions(
+                    &case.config,
+                    &p.schedules,
+                    p.reduction,
+                    &mut EngineScratch::new(),
+                )
+                .combined();
                 // Sequential chaining concatenates the segments into one
                 // stream, so residency crosses segment boundaries; shadow
                 // the same concatenation.
@@ -947,7 +935,13 @@ fn check_decision_conservation(
                 }
                 (vec![combined], r)
             } else {
-                let r = run_multicore(&case.config, &p.schedules, p.reduction).combined();
+                let r = run_multicore(
+                    &case.config,
+                    &p.schedules,
+                    p.reduction,
+                    &mut EngineScratch::new(),
+                )
+                .combined();
                 (p.schedules, r)
             }
         }

@@ -16,7 +16,7 @@ use crate::schedule::{BackwardOrder, LayerTensors};
 use crate::select::select_order;
 use crate::tiling::TilePolicy;
 use igo_knn::{repeated_accuracy, Classifier, Split};
-use igo_npu_sim::{run_multicore, run_sequential_partitions, NpuConfig, Schedule};
+use igo_npu_sim::{run_multicore, run_sequential_partitions, EngineScratch, NpuConfig, Schedule};
 use igo_tensor::GemmShape;
 use igo_tensor::SplitMix64;
 
@@ -76,9 +76,9 @@ pub fn label_layer(gemm: GemmShape, config: &NpuConfig, parts: u64) -> LabeledLa
             &proto, tensors, gemm, policy, *scheme, parts, order, false,
         );
         let mc = if config.cores > 1 {
-            run_multicore(config, &p.schedules, p.reduction)
+            run_multicore(config, &p.schedules, p.reduction, &mut EngineScratch::new())
         } else {
-            run_sequential_partitions(config, &p.schedules, p.reduction)
+            run_sequential_partitions(config, &p.schedules, p.reduction, &mut EngineScratch::new())
         };
         cycles[idx] = mc.cycles;
     }

@@ -49,13 +49,11 @@ use crate::simcache::{ConfigFingerprint, ProfilePass};
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    reduction_cycles, replay_ladder, replay_multicore, replay_multicore_bounded,
-    replay_sequential_partitions_bounded, run_multicore_with_scratch,
-    run_sequential_partitions_with_scratch, sequential_combined, AnalyticCollector,
-    AnalyticScratch, Engine, EngineScratch, LadderScratch, NpuConfig, Schedule, SimReport,
-    StreamOp, TensorId, Traffic,
+    reduction_cycles, replay_multicore, replay_sequential_partitions, run_multicore,
+    run_sequential_partitions, sequential_combined, AnalyticCollector, AnalyticScratch, Engine,
+    EngineScratch, MultiCoreReport, NpuConfig, Schedule, SimReport, StreamOp, TensorId, Traffic,
 };
-use igo_tensor::GemmShape;
+use igo_tensor::{GemmShape, TensorClass};
 use igo_workloads::{Layer, Model};
 
 /// Which pass of training a report concerns.
@@ -90,13 +88,13 @@ pub struct SimOptions {
     /// bit-identical to [`Engine::run`]) and pruning uses the closed-form
     /// bounds of [`crate::bound`] instead of per-schedule scans.
     pub analytic_fast_path: bool,
-    /// Evaluate SPM-capacity ladders with one capacity-oblivious profiling
-    /// pass per candidate schedule ([`igo_npu_sim::replay_ladder`]) and
-    /// memoize the resulting capacity curves keyed *without* the SPM size,
-    /// so `(model, technique)` points are profiled once and every ladder
-    /// rung is answered from the same pass. Only affects
-    /// [`simulate_model_ladder`]; requires `analytic_fast_path`.
-    pub capacity_profile: bool,
+    /// Evaluate SPM-capacity ladders rung-grouped: each candidate is
+    /// emitted once per distinct blocking signature and replayed at every
+    /// rung sharing it, and exact per-candidate results are memoized keyed
+    /// *without* the SPM size. Off, every ladder rung is simulated as its
+    /// own grid point. Only affects [`simulate_model_ladder`]; requires
+    /// `analytic_fast_path`.
+    pub ladder: bool,
 }
 
 impl SimOptions {
@@ -108,7 +106,7 @@ impl SimOptions {
             prune: true,
             workers: 0,
             analytic_fast_path: true,
-            capacity_profile: true,
+            ladder: true,
         }
     }
 
@@ -121,7 +119,7 @@ impl SimOptions {
             prune: false,
             workers: 0,
             analytic_fast_path: false,
-            capacity_profile: false,
+            ladder: false,
         }
     }
 }
@@ -225,12 +223,11 @@ impl Candidate {
             CandidateExec::Sequential {
                 segments,
                 reduction,
-            } => run_sequential_partitions_with_scratch(config, segments, *reduction, scratch)
-                .combined(),
+            } => run_sequential_partitions(config, segments, *reduction, scratch).combined(),
             CandidateExec::Multicore {
                 per_core,
                 reduction,
-            } => run_multicore_with_scratch(config, per_core, *reduction, scratch).combined(),
+            } => run_multicore(config, per_core, *reduction, scratch).combined(),
         }
     }
 }
@@ -292,26 +289,33 @@ fn select_best(
 /// [`LayerTensors::register`] would produce on a fresh schedule, so replayed
 /// streams are structurally identical to the engine path's (tensor ids feed
 /// the replacement tie-break).
-fn fast_layer_tensors() -> (LayerTensors, u32) {
-    (
-        LayerTensors {
-            x: TensorId::from_raw(0),
-            w: TensorId::from_raw(1),
-            y: TensorId::from_raw(2),
-            dx: TensorId::from_raw(3),
-            dw: TensorId::from_raw(4),
-            dy: TensorId::from_raw(5),
-        },
-        6,
-    )
+pub(crate) fn fast_layer_tensors() -> LayerTensors {
+    LayerTensors {
+        x: TensorId::from_raw(0),
+        w: TensorId::from_raw(1),
+        y: TensorId::from_raw(2),
+        dx: TensorId::from_raw(3),
+        dw: TensorId::from_raw(4),
+        dy: TensorId::from_raw(5),
+    }
+}
+
+/// Fresh tensor ids for a partition plan over [`fast_layer_tensors`],
+/// numbered after the layer's own as a schedule's tensor table would.
+pub(crate) fn fresh_ids() -> impl FnMut(TensorClass, String) -> TensorId {
+    let mut next = 6;
+    move |_class, _name| {
+        let id = TensorId::from_raw(next);
+        next += 1;
+        id
+    }
 }
 
 /// Reusable per-worker state for fast-path candidate evaluation.
 #[derive(Default)]
-struct FastScratch {
+pub(crate) struct FastScratch {
     collectors: Vec<AnalyticCollector>,
     replay: AnalyticScratch,
-    ladder: LadderScratch,
 }
 
 /// The first `n` collectors of `pool`, cleared, growing the pool on demand.
@@ -324,6 +328,41 @@ fn cleared_collectors(pool: &mut Vec<AnalyticCollector>, n: usize) -> &mut [Anal
         c.clear();
     }
     slice
+}
+
+/// Emit and replay one multi-core step. `plan_partition_*` gives every
+/// core the same tensor-role layout, so cores with equal sub-GEMMs emit
+/// byte-identical streams: each distinct sub-GEMM is emitted (by `emit`,
+/// after grid registration) and replayed once, and every core running it
+/// shares the report. Bit-identical to emitting and replaying every core.
+pub(crate) fn replay_cores(
+    config: &NpuConfig,
+    builders: &[BackwardBuilder],
+    emit: impl Fn(&BackwardBuilder, &mut AnalyticCollector),
+    reduction: Option<StreamOp>,
+    cutoff: Option<u64>,
+    s: &mut FastScratch,
+) -> Option<MultiCoreReport> {
+    let mut leads: Vec<&BackwardBuilder> = Vec::with_capacity(builders.len());
+    let stream_of: Vec<usize> = builders
+        .iter()
+        .map(|b| {
+            leads
+                .iter()
+                .position(|l| l.gemm() == b.gemm())
+                .unwrap_or_else(|| {
+                    leads.push(b);
+                    leads.len() - 1
+                })
+        })
+        .collect();
+    let pool = cleared_collectors(&mut s.collectors, leads.len());
+    for (b, c) in leads.iter().zip(pool.iter_mut()) {
+        b.register_grids(c);
+        emit(b, c);
+    }
+    let per_core: Vec<&AnalyticCollector> = stream_of.iter().map(|&k| &pool[k]).collect();
+    replay_multicore(config, &per_core, reduction, &mut s.replay, cutoff)
 }
 
 /// A backward candidate held as unemitted builders plus a precomputed
@@ -381,15 +420,13 @@ impl FastCandidate {
         s: &mut FastScratch,
     ) -> Option<SimReport> {
         let order = self.decision.order;
-        let FastScratch {
-            collectors, replay, ..
-        } = s;
         match &self.exec {
             FastExec::Single(builder) => {
-                let c = &mut cleared_collectors(collectors, 1)[0];
+                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
                 builder.register_grids(c);
                 builder.emit(order, is_first, c);
-                c.replay_bounded(engine, replay, cutoff).map(|r| r.report)
+                c.replay_bounded(engine, &mut s.replay, cutoff)
+                    .map(|r| r.report)
             }
             FastExec::Sequential {
                 builders,
@@ -397,28 +434,28 @@ impl FastCandidate {
             } => {
                 // One collector: segments concatenate with no barrier,
                 // mirroring `Schedule::append_compatible`.
-                let c = &mut cleared_collectors(collectors, 1)[0];
+                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
                 for b in builders {
                     b.register_grids(c);
                 }
                 for b in builders {
                     b.emit(order, is_first, c);
                 }
-                replay_sequential_partitions_bounded(config, c, *reduction, replay, cutoff)
+                replay_sequential_partitions(config, c, *reduction, &mut s.replay, cutoff)
                     .map(|r| r.combined())
             }
             FastExec::Multicore {
                 builders,
                 reduction,
-            } => {
-                let cores = cleared_collectors(collectors, builders.len());
-                for (b, c) in builders.iter().zip(cores.iter_mut()) {
-                    b.register_grids(c);
-                    b.emit(order, is_first, c);
-                }
-                replay_multicore_bounded(config, cores, *reduction, replay, cutoff)
-                    .map(|r| r.combined())
-            }
+            } => replay_cores(
+                config,
+                builders,
+                |b, c| b.emit(order, is_first, c),
+                *reduction,
+                cutoff,
+                s,
+            )
+            .map(|r| r.combined()),
         }
     }
 }
@@ -499,35 +536,32 @@ pub fn simulate_layer_forward_with(
     }
     let policy = TilePolicy::for_config(config);
     let report = if options.analytic_fast_path {
-        let (tensors, first_free_id) = fast_layer_tensors();
+        let tensors = fast_layer_tensors();
         let engine = Engine::new(config);
-        with_fast_scratch(|scratch| {
-            let FastScratch {
-                collectors, replay, ..
-            } = scratch;
+        with_fast_scratch(|s| {
             if config.cores == 1 {
-                let c = &mut cleared_collectors(collectors, 1)[0];
+                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
                 BackwardBuilder::new(gemm, policy, tensors).register_grids(c);
                 forward_schedule(gemm, policy, tensors, density, c);
-                c.replay(&engine, replay).report
+                c.replay(&engine, &mut s.replay).report
             } else {
-                let mut next = first_free_id;
-                let (sub_gemms, part_tensors) = plan_partition_forward(
-                    &mut |_class, _name| {
-                        let id = TensorId::from_raw(next);
-                        next += 1;
-                        id
-                    },
-                    tensors,
-                    gemm,
-                    config.cores as u64,
-                );
-                let cores = cleared_collectors(collectors, sub_gemms.len());
-                for ((sub, t), c) in sub_gemms.iter().zip(&part_tensors).zip(cores.iter_mut()) {
-                    BackwardBuilder::new(*sub, policy, *t).register_grids(c);
-                    forward_schedule(*sub, policy, *t, density, c);
-                }
-                replay_multicore(config, cores, None, replay).combined()
+                let (sub_gemms, part_tensors) =
+                    plan_partition_forward(&mut fresh_ids(), tensors, gemm, config.cores as u64);
+                let builders: Vec<BackwardBuilder> = sub_gemms
+                    .iter()
+                    .zip(&part_tensors)
+                    .map(|(sub, t)| BackwardBuilder::new(*sub, policy, *t))
+                    .collect();
+                replay_cores(
+                    config,
+                    &builders,
+                    |b, c| forward_schedule(b.gemm(), policy, b.tensors(), density, c),
+                    None,
+                    None,
+                    s,
+                )
+                .expect("unbounded replay always completes")
+                .combined()
             }
         })
     } else {
@@ -540,7 +574,7 @@ pub fn simulate_layer_forward_with(
         } else {
             let parts =
                 partition_forward_ex(&proto, tensors, gemm, density, policy, config.cores as u64);
-            run_multicore_with_scratch(config, &parts, None, &mut EngineScratch::new()).combined()
+            run_multicore(config, &parts, None, &mut EngineScratch::new()).combined()
         }
     };
     if options.memoize {
@@ -707,7 +741,7 @@ fn fast_backward_uncached(
     options: &SimOptions,
 ) -> (SimReport, LayerDecision) {
     let policy = TilePolicy::for_config(config);
-    let (tensors, first_free_id) = fast_layer_tensors();
+    let tensors = fast_layer_tensors();
     let engine = Engine::new(config);
 
     // A non-partitioned candidate: one stream on a single core, or the
@@ -731,13 +765,8 @@ fn fast_backward_uncached(
             let bound = multicore_candidate_bound(
                 config, &engine, tensors, gemm, density, policy, scheme, parts, order, is_first,
             );
-            let mut next = first_free_id;
             let plan = plan_partition_backward(
-                &mut |_class, _name| {
-                    let id = TensorId::from_raw(next);
-                    next += 1;
-                    id
-                },
+                &mut fresh_ids(),
                 tensors,
                 gemm,
                 density,
@@ -800,13 +829,8 @@ fn fast_backward_uncached(
                                 config, &engine, tensors, gemm, density, policy, scheme, parts,
                                 order, is_first,
                             );
-                            let mut next = first_free_id;
                             let plan = plan_partition_backward(
-                                &mut |_class, _name| {
-                                    let id = TensorId::from_raw(next);
-                                    next += 1;
-                                    id
-                                },
+                                &mut fresh_ids(),
                                 tensors,
                                 gemm,
                                 density,
@@ -846,13 +870,8 @@ fn fast_backward_uncached(
                             config, &engine, tensors, gemm, density, policy, scheme, parts, order,
                             is_first,
                         );
-                        let mut next = first_free_id;
                         let plan = plan_partition_backward(
-                            &mut |_class, _name| {
-                                let id = TensorId::from_raw(next);
-                                next += 1;
-                                id
-                            },
+                            &mut fresh_ids(),
                             tensors,
                             gemm,
                             density,
@@ -975,14 +994,13 @@ fn partition_candidates(
 // An SPM sweep simulates the same `(model, technique)` point at several SPM
 // capacities whose configs are otherwise identical. The candidate *set* is
 // capacity-independent, and a candidate's access stream depends on capacity
-// only through its blocking factors ([`EmissionSig`]); everything else about
-// the replay — the next-use oracle, region footprints, compute totals — is
-// shared by [`replay_ladder`] across all rungs of one pass. The functions
-// below exploit both: rungs whose emission signatures coincide share one
-// emission + one ladder replay, and every exact replay is memoized in a
-// capacity-*oblivious* profile cache ([`crate::simcache`]) so a candidate
-// schedule re-encountered under any other technique, sweep arm or SPM size
-// is answered without replaying at all. All selection semantics (lexicographic
+// only through its blocking factors ([`EmissionSig`]). The functions below
+// exploit both: rungs whose emission signatures coincide share one emission,
+// replayed once per rung ([`AnalyticCollector::replay_bounded`], under that
+// rung's own cutoff), and every exact replay is memoized in a
+// capacity-*oblivious* cache ([`crate::simcache`]) so a candidate schedule
+// re-encountered under any other technique, sweep arm or SPM size is
+// answered without replaying at all. All selection semantics (lexicographic
 // `(cycles, candidate index)` winner, admissible bound skips, cutoff aborts)
 // mirror [`select_best_fast`] per rung, so the reports and decisions are
 // bit-identical to evaluating each rung independently.
@@ -993,8 +1011,6 @@ struct LadderRungs {
     configs: Vec<NpuConfig>,
     engines: Vec<Engine>,
     policies: Vec<TilePolicy>,
-    /// Per-rung analytic SPM capacity ([`Engine::residency_bytes`]).
-    capacities: Vec<u64>,
 }
 
 impl LadderRungs {
@@ -1003,13 +1019,13 @@ impl LadderRungs {
     }
 }
 
-/// Validate `configs` as a capacity ladder the profile path can serve.
+/// Validate `configs` as a capacity ladder the grouped path can serve.
 /// Returns `None` (callers fall back to per-config simulation) unless the
-/// options enable the profile path, all configs are single-core and equal
+/// options enable the ladder path, all configs are single-core and equal
 /// up to SPM size, and both the SPM sizes and the derived analytic
 /// capacities are strictly ascending.
 fn ladder_rungs(configs: &[NpuConfig], options: &SimOptions) -> Option<LadderRungs> {
-    if configs.len() < 2 || !options.analytic_fast_path || !options.capacity_profile {
+    if configs.len() < 2 || !options.analytic_fast_path || !options.ladder {
         return None;
     }
     if configs.iter().any(|c| c.cores != 1) {
@@ -1026,20 +1042,21 @@ fn ladder_rungs(configs: &[NpuConfig], options: &SimOptions) -> Option<LadderRun
         return None;
     }
     let engines: Vec<Engine> = configs.iter().map(Engine::new).collect();
-    let capacities: Vec<u64> = engines.iter().map(Engine::residency_bytes).collect();
-    if !capacities.windows(2).all(|w| w[0] < w[1]) {
+    if !engines
+        .windows(2)
+        .all(|w| w[0].residency_bytes() < w[1].residency_bytes())
+    {
         return None;
     }
     Some(LadderRungs {
         configs: configs.to_vec(),
         policies: configs.iter().map(TilePolicy::for_config).collect(),
         engines,
-        capacities,
     })
 }
 
 /// Simulate one layer's forward pass at every rung of the ladder, grouping
-/// rungs with identical emission signatures into one profiling pass.
+/// rungs with identical emission signatures onto one emission.
 fn ladder_forward(
     gemm: GemmShape,
     density: f64,
@@ -1068,7 +1085,7 @@ fn ladder_forward(
     }
     let missing: Vec<usize> = (0..n).filter(|&r| out[r].is_none()).collect();
     if !missing.is_empty() {
-        let (tensors, _) = fast_layer_tensors();
+        let tensors = fast_layer_tensors();
         let mut groups: Vec<(EmissionSig, Vec<usize>)> = Vec::new();
         for &r in &missing {
             let sig = forward_emission_signature(gemm, rungs.policies[r]);
@@ -1079,19 +1096,13 @@ fn ladder_forward(
         }
         let mut fresh: Vec<(u64, SimReport)> = Vec::new();
         with_fast_scratch(|s| {
-            let FastScratch {
-                collectors, ladder, ..
-            } = s;
             for (_, group) in &groups {
                 let lead = group[0];
-                let c = &mut cleared_collectors(collectors, 1)[0];
+                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
                 BackwardBuilder::new(gemm, rungs.policies[lead], tensors).register_grids(c);
                 forward_schedule(gemm, rungs.policies[lead], tensors, density, c);
-                let caps: Vec<u64> = group.iter().map(|&r| rungs.capacities[r]).collect();
-                let cuts = vec![None; group.len()];
-                let reports = replay_ladder(c, &rungs.engines[lead], &caps, &cuts, ladder);
-                for (&r, rep) in group.iter().zip(reports) {
-                    let rep = rep.expect("unbounded ladder replay completes").report;
+                for &r in group {
+                    let rep = c.replay(&rungs.engines[r], &mut s.replay).report;
                     out[r] = Some(rep);
                     fresh.push((rungs.configs[r].spm_bytes, rep));
                 }
@@ -1147,7 +1158,6 @@ fn ladder_candidates(
     technique: Technique,
     is_first: bool,
     tensors: LayerTensors,
-    first_free_id: u32,
 ) -> Vec<LadderCandidate> {
     let plain = |order: BackwardOrder| LadderCandidate {
         decision: LayerDecision {
@@ -1178,13 +1188,8 @@ fn ladder_candidates(
                 for parts in SINGLE_CORE_PART_CANDIDATES {
                     let sub = gemm.split(scheme.split_dim(), parts)[0];
                     for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                        let mut next = first_free_id;
                         let plan = plan_partition_backward(
-                            &mut |_class, _name| {
-                                let id = TensorId::from_raw(next);
-                                next += 1;
-                                id
-                            },
+                            &mut fresh_ids(),
                             tensors,
                             gemm,
                             density,
@@ -1252,8 +1257,8 @@ fn update_best(best: &mut Option<(usize, SimReport)>, ci: usize, rep: SimReport)
 /// Simulate one layer's backward pass at every rung of the ladder. Per
 /// rung this reproduces [`select_best_fast`]'s winner bit for bit; across
 /// rungs, each candidate is emitted once per distinct emission signature
-/// and replayed for all matching rungs in one [`replay_ladder`] pass, with
-/// exact results memoized capacity-obliviously.
+/// and replayed at each matching rung, with exact results memoized
+/// capacity-obliviously.
 fn ladder_backward(
     gemm: GemmShape,
     density: f64,
@@ -1274,16 +1279,8 @@ fn ladder_backward(
         return done.into_iter().map(Option::unwrap).collect();
     }
 
-    let (tensors, first_free_id) = fast_layer_tensors();
-    let cands = ladder_candidates(
-        gemm,
-        density,
-        rungs,
-        technique,
-        is_first,
-        tensors,
-        first_free_id,
-    );
+    let tensors = fast_layer_tensors();
+    let cands = ladder_candidates(gemm, density, rungs, technique, is_first, tensors);
 
     // Exact combined report of candidate `ci` at rung `r`, once known.
     let mut computed: Vec<Vec<Option<SimReport>>> = vec![vec![None; n]; cands.len()];
@@ -1383,9 +1380,6 @@ fn ladder_backward(
     }
 
     with_fast_scratch(|s| {
-        let FastScratch {
-            collectors, ladder, ..
-        } = s;
         for &ci in &eval_order {
             let cand = &cands[ci];
             // Rungs this candidate still needs, with their replay cutoffs:
@@ -1448,7 +1442,7 @@ fn ladder_backward(
             }
             for (_, members) in &groups {
                 let lead = members[0];
-                let c = &mut cleared_collectors(collectors, 1)[0];
+                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
                 match &built[lead] {
                     BuiltSet::Plain(b) => {
                         b.register_grids(c);
@@ -1465,15 +1459,9 @@ fn ladder_backward(
                         }
                     }
                 }
-                let caps: Vec<u64> = members
-                    .iter()
-                    .map(|&i| rungs.capacities[reps[i].0])
-                    .collect();
-                let cuts: Vec<Option<u64>> = members.iter().map(|&i| reps[i].1).collect();
-                let results = replay_ladder(c, &rungs.engines[reps[lead].0], &caps, &cuts, ladder);
-                for (&i, res) in members.iter().zip(results) {
-                    let r = reps[i].0;
-                    if let Some(a) = res {
+                for &i in members {
+                    let (r, cutoff) = reps[i];
+                    if let Some(a) = c.replay_bounded(&rungs.engines[r], &mut s.replay, cutoff) {
                         fresh[ci].push((rungs.configs[r].spm_bytes, a.report));
                         let rep = combine_candidate(cand, &rungs.configs[r], a.report);
                         computed[ci][r] = Some(rep);
@@ -1555,11 +1543,10 @@ fn layer_outcome_ladder(
 /// [`simulate_model_with`] on that config alone.
 ///
 /// When `configs` forms a valid capacity ladder (single-core, identical up
-/// to strictly ascending SPM sizes) and the options enable the profile
-/// path, each candidate schedule is emitted once per distinct blocking
-/// signature and replayed for every matching rung in a single
-/// capacity-oblivious pass; otherwise this transparently falls back to
-/// per-config simulation.
+/// to strictly ascending SPM sizes) and [`SimOptions::ladder`] is set,
+/// each candidate schedule is emitted once per distinct blocking signature
+/// and replayed at every matching rung; otherwise this transparently falls
+/// back to per-config simulation.
 pub fn simulate_model_ladder(
     model: &Model,
     configs: &[NpuConfig],
@@ -1911,7 +1898,7 @@ mod tests {
                             // Force a real pool even on a single-CPU machine.
                             workers: 3,
                             analytic_fast_path,
-                            capacity_profile: false,
+                            ladder: false,
                         };
                         let (got, got_d) = simulate_layer_backward_with(
                             gemm,
@@ -1974,7 +1961,7 @@ mod tests {
 
     #[test]
     fn capacity_ladder_matches_per_config_simulation() {
-        // The profile path must reproduce per-config simulation bit for bit
+        // The ladder path must reproduce per-config simulation bit for bit
         // at every rung — reports, traffic and decisions — for every
         // technique, including partition candidates and a first layer.
         let base = NpuConfig::large_single_core();
@@ -1990,7 +1977,7 @@ mod tests {
         // The reference recomputes from scratch (no memo): a cache the
         // ladder itself populated must not be able to vouch for the ladder.
         let flat_opts = SimOptions {
-            capacity_profile: false,
+            ladder: false,
             memoize: false,
             ..ladder_opts
         };
@@ -2050,7 +2037,7 @@ mod tests {
             prune: false,
             workers: 0,
             analytic_fast_path: false,
-            capacity_profile: false,
+            ladder: false,
         };
         let first =
             simulate_layer_backward_with(gemm, 1.0, &config, Technique::Interleaving, false, &opts);

@@ -257,6 +257,7 @@ impl BackwardBuilder {
     }
 
     /// `dX[i,kk] += dY[i,j] · Wᵀ[j,kk]`.
+    #[inline(always)]
     fn dx_op(&self, i: u64, kk: u64, j: u64) -> TileOpSpec {
         let (i, kk, j) = (i as u32, kk as u32, j as u32);
         let dy_c = TileCoord::new(i, j);
@@ -288,6 +289,7 @@ impl BackwardBuilder {
     }
 
     /// `dW[kk,j] += Xᵀ[kk,i] · dY[i,j]`.
+    #[inline(always)]
     fn dw_op(&self, kk: u64, j: u64, i: u64) -> TileOpSpec {
         let (i, kk, j) = (i as u32, kk as u32, j as u32);
         let dy_c = TileCoord::new(i, j);

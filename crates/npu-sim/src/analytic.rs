@@ -3,22 +3,24 @@
 //! Design-space sweeps dominate simulator usage (SCALE-Sim ships an
 //! analytical estimation mode next to its cycle-accurate one for exactly
 //! this reason), and most of the cycle engine's per-layer cost is
-//! *mechanical*: materialising a [`crate::Schedule`] (one heap-allocated
-//! [`crate::TileOp`] per tile GEMM), interning every tile access through a
-//! hash map, and only then walking the timelines. This module removes that
-//! overhead in two tiers, each tagged with an explicit [`Exactness`]:
+//! *mechanical*: materialising a [`crate::Schedule`] (one
+//! [`crate::TileOp`] per tile GEMM), flattening it into an access stream,
+//! and only then walking the timelines. This module removes that overhead
+//! in two tiers, each tagged with an explicit [`Exactness`]:
 //!
 //! * **[`Exactness::Exact`] — allocation-free replay.** An
 //!   [`AnalyticCollector`] implements [`ScheduleSink`], so the schedule
-//!   builders emit the *identical* op stream into a flat structure-of-arrays
-//!   buffer with tile ids computed arithmetically from grid coordinates
-//!   (`base + r·cols + c`) instead of interned through a hash map.
-//!   [`AnalyticCollector::replay`] then advances the same two timelines as
-//!   [`crate::Engine::run`], in the same floating-point operation order,
-//!   over the same Belady replacement model the engine uses
-//!   ([`ReplayOptCache`], ranked by a packed `u64` order-isomorphic to
-//!   [`crate::trace::TileKey`]). The resulting [`SimReport`] is
-//!   bit-identical to the engine's — fuzz-asserted in `core::audit`.
+//!   builders emit the *identical* op stream into flat buffers — 8-byte
+//!   access records and 12-byte op records — with tile ids computed
+//!   arithmetically from grid coordinates (`base + r·cols + c`, bases laid
+//!   out in ascending tensor order, so ids ascend in
+//!   [`crate::trace::TileKey`] order) instead of interned through a hash
+//!   map. [`AnalyticCollector::replay`] then advances the same two
+//!   timelines as [`crate::Engine::run`], in the same floating-point
+//!   operation order, over the same Belady replacement model the engine
+//!   uses ([`ReplayOptCache`], tie-broken by dense id). The resulting
+//!   [`SimReport`] is bit-identical to the engine's — fuzz-asserted in
+//!   `core::audit`.
 //!
 //! * **[`Exactness::LowerBound`] — closed form, no emission at all.** For
 //!   candidate pruning, [`BoundAccum`] assembles an admissible lower bound
@@ -39,7 +41,7 @@
 //! mirrors.
 
 use crate::engine::{Engine, Replacement};
-use crate::opt::{ReplayOptCache, NO_USE};
+use crate::opt::{AccessRec, ReplayOptCache, BARRIER_ID, NO_USE};
 use crate::stats::{SimReport, Traffic};
 use crate::trace::{ScheduleSink, StreamOp, TensorId, TileOpSpec};
 use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
@@ -75,46 +77,15 @@ pub fn analytic_run_count() -> u64 {
     ANALYTIC_RUNS.load(Ordering::Relaxed)
 }
 
-/// Count one analytic run. The ladder profiler ([`crate::stackdist`])
-/// evaluates a whole capacity ladder per pass and charges it as a single
-/// run — that collapse is exactly what the counter is meant to expose.
-pub(crate) fn bump_analytic_runs() {
-    ANALYTIC_RUNS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Sentinel dense id marking a kernel boundary in the collected stream
-/// (mirrors the engine's flattened-stream sentinel).
-pub(crate) const BARRIER_ID: u32 = u32::MAX;
-
-/// Flag bit of [`AccessRec::bytes_dirty`] marking an accumulator touch.
-pub(crate) const DIRTY_BIT: u32 = 1 << 31;
-
-/// Byte-count mask of [`AccessRec::bytes_dirty`].
-pub(crate) const BYTES_MASK: u32 = DIRTY_BIT - 1;
-
-/// One recorded tile access, packed to 16 bytes so replay streams a
-/// cache line per four accesses.
+/// One recorded schedule op, packed to 12 bytes: tile shapes and stream
+/// ops are interned in side tables, so the op stream carries indices.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct AccessRec {
-    /// Victim-ordering rank: `(tensor_raw << 32) | (r·cols + c)`. Because
-    /// [`crate::trace::TileKey`]'s derived order is lexicographic
-    /// `(tensor, r, c)` and `c < cols` within a tensor, this packing is
-    /// order-isomorphic to the key — so heap tie-breaks on `rank` match
-    /// the engine's tie-breaks on `TileKey` exactly.
-    pub(crate) rank: u64,
-    /// Dense tile id (`base + r·cols + c`), or [`BARRIER_ID`].
-    pub(crate) id: u32,
-    /// Access bytes (`< 2^31`, asserted at emission) with [`DIRTY_BIT`]
-    /// flagging accumulator touches.
-    pub(crate) bytes_dirty: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum OpRec {
-    /// A tile GEMM with `accesses` consecutive entries in the access stream.
-    Gemm { accesses: u32, compute: GemmShape },
-    /// Pure data movement.
-    Stream(StreamOp),
+enum OpRec {
+    /// A tile GEMM with `accesses` consecutive entries in the access
+    /// stream, computing interned shape `shape`.
+    Gemm { accesses: u32, shape: u32 },
+    /// Pure data movement: an index into the stream-op table.
+    Stream(u32),
     /// Kernel boundary (owns one sentinel entry in the access stream).
     Barrier,
 }
@@ -122,8 +93,11 @@ pub(crate) enum OpRec {
 /// Per-tensor entry of the dense tile-id registry.
 #[derive(Debug, Clone, Copy)]
 struct TensorEntry {
-    base: u32,
+    class: TensorClass,
+    tiles: u64,
     cols: u32,
+    /// First dense id; assigned when emission starts.
+    base: u32,
 }
 
 /// A [`ScheduleSink`] that records the op stream into flat buffers for
@@ -131,14 +105,27 @@ struct TensorEntry {
 ///
 /// Tensors must be registered (with their tile-grid extents) before any of
 /// their tiles are emitted; the schedule builders know every grid they
-/// touch, so registration is a handful of calls per layer.
+/// touch, so registration is a handful of calls per layer. When emission
+/// starts, dense tile ids are laid out in ascending [`TensorId`] order
+/// (`base + r·cols + c`), so dense-id order *is* [`crate::trace::TileKey`]
+/// order and an id doubles as the replacement tie-break rank.
 #[derive(Debug, Default)]
 pub struct AnalyticCollector {
     tensors: Vec<Option<TensorEntry>>,
+    /// Whether dense bases have been laid out (emission has started).
+    sealed: bool,
     /// Dense id → traffic class (for write-back attribution).
     dense_class: Vec<TensorClass>,
     stream: Vec<AccessRec>,
     ops: Vec<OpRec>,
+    /// Interned tile-GEMM shapes and how many ops compute each.
+    shapes: Vec<(GemmShape, u64)>,
+    /// Index of the most recently interned shape (consecutive ops
+    /// overwhelmingly share one).
+    last_shape: usize,
+    streams: Vec<StreamOp>,
+    /// Sum of all access bytes.
+    bytes_touched: u64,
 }
 
 impl AnalyticCollector {
@@ -150,9 +137,14 @@ impl AnalyticCollector {
     /// Drop all recorded state but keep the allocations (hot-loop reuse).
     pub fn clear(&mut self) {
         self.tensors.clear();
+        self.sealed = false;
         self.dense_class.clear();
         self.stream.clear();
         self.ops.clear();
+        self.shapes.clear();
+        self.last_shape = 0;
+        self.streams.clear();
+        self.bytes_touched = 0;
     }
 
     /// Number of recorded schedule ops.
@@ -165,63 +157,100 @@ impl AnalyticCollector {
         self.ops.is_empty()
     }
 
-    /// The packed access stream, for the ladder profiler's shared pass.
-    pub(crate) fn stream(&self) -> &[AccessRec] {
-        &self.stream
-    }
-
-    /// The recorded op stream.
-    pub(crate) fn ops(&self) -> &[OpRec] {
-        &self.ops
-    }
-
-    /// Dense tile id → traffic class.
-    pub(crate) fn dense_class(&self) -> &[TensorClass] {
-        &self.dense_class
-    }
-
     /// Register `tensor` with the extents of `grid` so its tiles map to
     /// dense ids. Re-registering the same tensor is a checked no-op;
     /// registering tensors that are never touched is harmless.
+    ///
+    /// # Panics
+    ///
+    /// Panics if emission has started and `tensor` is lower than a tensor
+    /// already registered: its ids would break `TileKey` order.
     pub fn register_tensor(&mut self, tensor: TensorId, class: TensorClass, grid: &TileGrid) {
         let raw = tensor.raw() as usize;
-        if self.tensors.len() <= raw {
-            self.tensors.resize(raw + 1, None);
-        }
-        if let Some(entry) = &self.tensors[raw] {
+        if let Some(Some(entry)) = self.tensors.get(raw) {
             debug_assert_eq!(entry.cols, grid.cols(), "re-registration must agree");
             return;
         }
-        let tiles = grid.num_tiles();
-        let base = self.dense_class.len() as u64;
         assert!(
-            base + tiles < BARRIER_ID as u64,
-            "tile registry overflows the dense id space"
+            !self.sealed || raw >= self.tensors.len(),
+            "tensor {raw} registered after emission started, below tensor {}: \
+             dense ids would leave TileKey order",
+            self.tensors.len() - 1
         );
-        self.tensors[raw] = Some(TensorEntry {
-            base: base as u32,
+        if self.tensors.len() <= raw {
+            self.tensors.resize(raw + 1, None);
+        }
+        let mut entry = TensorEntry {
+            class,
+            tiles: grid.num_tiles(),
             cols: grid.cols(),
-        });
-        self.dense_class
-            .extend(std::iter::repeat_n(class, tiles as usize));
+            base: 0,
+        };
+        if self.sealed {
+            self.lay_out(&mut entry);
+        }
+        self.tensors[raw] = Some(entry);
     }
 
+    /// Give `entry` the next dense-id range.
+    fn lay_out(&mut self, entry: &mut TensorEntry) {
+        let base = self.dense_class.len() as u64;
+        assert!(
+            base + entry.tiles < BARRIER_ID as u64,
+            "tile registry overflows the dense id space"
+        );
+        entry.base = base as u32;
+        self.dense_class
+            .extend(std::iter::repeat_n(entry.class, entry.tiles as usize));
+    }
+
+    /// Lay out dense ids in ascending tensor order (emission starts).
+    #[cold]
+    fn seal(&mut self) {
+        self.sealed = true;
+        for i in 0..self.tensors.len() {
+            if let Some(mut entry) = self.tensors[i] {
+                self.lay_out(&mut entry);
+                self.tensors[i] = Some(entry);
+            }
+        }
+    }
+
+    #[inline]
     fn push_access(&mut self, tensor: TensorId, coord: TileCoord, bytes: u64, dirty: bool) {
         let entry = self.tensors[tensor.raw() as usize]
             .as_ref()
             .expect("tensor touched before registration");
-        let offset = coord.r * entry.cols + coord.c;
-        assert!(bytes < DIRTY_BIT as u64, "tile access exceeds 2 GiB");
-        self.stream.push(AccessRec {
-            rank: ((tensor.raw() as u64) << 32) | offset as u64,
-            id: entry.base + offset,
-            bytes_dirty: bytes as u32 | if dirty { DIRTY_BIT } else { 0 },
-        });
+        let id = entry.base + coord.r * entry.cols + coord.c;
+        self.stream.push(AccessRec::new(id, bytes, dirty));
+        self.bytes_touched += bytes;
+    }
+
+    /// Interned index of `shape`, counting one more op of it.
+    #[inline]
+    fn intern_shape(&mut self, shape: GemmShape) -> u32 {
+        let i = match self.shapes.get(self.last_shape) {
+            Some(&(s, _)) if s == shape => self.last_shape,
+            _ => match self.shapes.iter().position(|&(s, _)| s == shape) {
+                Some(i) => i,
+                None => {
+                    self.shapes.push((shape, 0));
+                    self.shapes.len() - 1
+                }
+            },
+        };
+        self.shapes[i].1 += 1;
+        self.last_shape = i;
+        i as u32
     }
 }
 
 impl ScheduleSink for AnalyticCollector {
+    #[inline]
     fn gemm(&mut self, op: &TileOpSpec) {
+        if !self.sealed {
+            self.seal();
+        }
         let mut accesses = 0u32;
         for r in op.reads.iter().flatten() {
             self.push_access(r.tensor, r.coord, r.bytes, false);
@@ -231,22 +260,17 @@ impl ScheduleSink for AnalyticCollector {
             self.push_access(a.tensor, a.coord, a.bytes, true);
             accesses += 1;
         }
-        self.ops.push(OpRec::Gemm {
-            accesses,
-            compute: op.compute,
-        });
+        let shape = self.intern_shape(op.compute);
+        self.ops.push(OpRec::Gemm { accesses, shape });
     }
 
     fn stream(&mut self, op: StreamOp) {
-        self.ops.push(OpRec::Stream(op));
+        self.ops.push(OpRec::Stream(self.streams.len() as u32));
+        self.streams.push(op);
     }
 
     fn barrier(&mut self) {
-        self.stream.push(AccessRec {
-            rank: 0,
-            id: BARRIER_ID,
-            bytes_dirty: 0,
-        });
+        self.stream.push(AccessRec::BARRIER);
         self.ops.push(OpRec::Barrier);
     }
 }
@@ -258,6 +282,8 @@ pub struct AnalyticScratch {
     next_use: Vec<u32>,
     last_seen: Vec<u32>,
     writebacks: Vec<(u32, u64)>,
+    /// Systolic cycles of each interned tile shape.
+    shape_cycles: Vec<u64>,
     /// Per barrier region: does the region's distinct-tile footprint fit
     /// in SPM (enabling the no-eviction access path)?
     region_fits: Vec<bool>,
@@ -308,11 +334,12 @@ impl AnalyticCollector {
     /// The abort test is conservative in both directions of the timeline
     /// race: `mem_free` only grows, and the compute timeline must still
     /// serialise every remaining tile GEMM (their exact cycle total is
-    /// pre-summed), so `max(mem_free, compute_free + remaining)` never
-    /// exceeds the final cycle count. A one-cycle guard band absorbs the
-    /// float rounding of the `compute_free + remaining` sum, so `None` is
-    /// returned only when the true cycles strictly exceed `cutoff` —
-    /// a completed replay is bit-identical to [`Self::replay`]'s.
+    /// pre-summed from the per-shape op counts), so
+    /// `max(mem_free, compute_free + remaining)` never exceeds the final
+    /// cycle count. A one-cycle guard band absorbs the float rounding of
+    /// the `compute_free + remaining` sum, so `None` is returned only when
+    /// the true cycles strictly exceed `cutoff` — a completed replay is
+    /// bit-identical to [`Self::replay`]'s.
     pub fn replay_bounded(
         &self,
         engine: &Engine,
@@ -333,6 +360,7 @@ impl AnalyticCollector {
             next_use,
             last_seen,
             writebacks,
+            shape_cycles,
             region_fits,
             touched,
             tile_flags,
@@ -342,6 +370,7 @@ impl AnalyticCollector {
         } = scratch;
         writebacks.clear();
         let capacity = engine.residency_bytes();
+        let stream = &self.stream[..];
 
         // Next-use oracle over the collected stream: identical back-scan to
         // the engine's (barrier sentinels cut reuse), over dense ids that
@@ -354,7 +383,7 @@ impl AnalyticCollector {
         // ever-dirty tile must be written back at least once (by eviction,
         // admission bypass, or the barrier flush).
         next_use.clear();
-        next_use.resize(self.stream.len(), NO_USE);
+        next_use.resize(stream.len(), NO_USE);
         last_seen.clear();
         last_seen.resize(self.dense_class.len(), NO_USE);
         tile_flags.clear();
@@ -387,8 +416,8 @@ impl AnalyticCollector {
             touched.clear();
             region_floor.push((floor_bytes, floor_bursts));
         };
-        for pos in (0..self.stream.len()).rev() {
-            let rec = &self.stream[pos];
+        for pos in (0..stream.len()).rev() {
+            let rec = stream[pos];
             if rec.id == BARRIER_ID {
                 end_region(
                     footprint,
@@ -400,7 +429,7 @@ impl AnalyticCollector {
                 );
                 footprint = 0;
             } else {
-                let bytes = rec.bytes_dirty & BYTES_MASK;
+                let bytes = rec.bytes();
                 let later = last_seen[rec.id as usize];
                 if later != NO_USE {
                     next_use[pos] = later;
@@ -412,7 +441,7 @@ impl AnalyticCollector {
                 // Bit 0 tracks the earliest (forward-order) access's
                 // dirtiness — overwritten at each step of the backward
                 // scan, so the last write wins; bit 1 accumulates.
-                let dirty = (rec.bytes_dirty >> 31) as u8;
+                let dirty = rec.dirty() as u8;
                 let flags = &mut tile_flags[rec.id as usize];
                 *flags = dirty | (*flags & 2) | (dirty << 1);
             }
@@ -432,26 +461,27 @@ impl AnalyticCollector {
         let bytes_per_cycle = engine.bytes_per_cycle();
         let burst_latency = engine.burst_latency();
 
-        // Exact cycles the compute timeline still owes — the admissible
-        // floor behind the early abort — and the per-region DRAM floor
-        // suffix sums (both only needed when bounded).
+        // Per-shape cycles, once per replay; their count-weighted sum is
+        // the compute timeline's exact total.
+        shape_cycles.clear();
+        let mut compute_cycles_total = 0u64;
+        let mut gemm_ops = 0u64;
+        let mut macs = 0u64;
+        for &(shape, count) in &self.shapes {
+            let cycles = systolic.tile_cycles(shape);
+            shape_cycles.push(cycles);
+            compute_cycles_total += count * cycles;
+            gemm_ops += count;
+            macs += count * shape.macs();
+        }
+
+        // The compute cycles still owed — the admissible floor behind the
+        // early abort — and the per-region DRAM floor suffix sums (both
+        // only needed when bounded).
         let cutoff_plus = cutoff.map(|c| (c + 1) as f64);
-        let mut remaining_compute = 0u64;
+        let mut remaining_compute = compute_cycles_total;
         region_mem_suffix.clear();
         if let Some(limit) = cutoff_plus {
-            let mut memo: Option<(GemmShape, u64)> = None;
-            for op in &self.ops {
-                if let OpRec::Gemm { compute, .. } = op {
-                    remaining_compute += match memo {
-                        Some((shape, cycles)) if shape == *compute => cycles,
-                        _ => {
-                            let cycles = systolic.tile_cycles(*compute);
-                            memo = Some((*compute, cycles));
-                            cycles
-                        }
-                    };
-                }
-            }
             // region_mem_suffix[i] = floor mem-time of regions strictly
             // after i; the running total over all regions is a pre-replay
             // floor that can reject the candidate before any cache work.
@@ -467,38 +497,28 @@ impl AnalyticCollector {
             }
         }
 
-        opt.reset(capacity, self.dense_class.len(), self.stream.len());
+        opt.reset(capacity, self.dense_class.len(), stream.len());
 
         let mut traffic = Traffic::new();
         let mut mem_free: f64 = 0.0;
         let mut compute_free: f64 = 0.0;
-        let mut compute_cycles_total: u64 = 0;
         let mut mem_busy_total: f64 = 0.0;
-        let mut gemm_ops: u64 = 0;
-        let mut macs: u64 = 0;
-        let mut spm_bytes_touched: u64 = 0;
-        // Consecutive ops overwhelmingly share a tile shape: memoize the
-        // last systolic evaluation.
-        let mut last_shape: Option<(GemmShape, u64)> = None;
 
         let mut region = 0usize;
         let mut fits = region_fits[0];
         let mut pos = 0usize;
         for op in &self.ops {
-            match op {
-                OpRec::Gemm { accesses, compute } => {
+            match *op {
+                OpRec::Gemm { accesses, shape } => {
                     let mut fetched = 0u64;
                     let mut writeback = 0u64;
                     let mut bursts = 0u64;
-                    let end = pos + *accesses as usize;
-                    for (a, &nu) in self.stream[pos..end].iter().zip(&next_use[pos..end]) {
-                        let bytes = a.bytes_dirty & BYTES_MASK;
-                        let dirty = a.bytes_dirty & DIRTY_BIT != 0;
-                        spm_bytes_touched += bytes as u64;
+                    let end = pos + accesses as usize;
+                    for (&a, &nu) in stream[pos..end].iter().zip(&next_use[pos..end]) {
                         let got = if fits {
-                            opt.access_unbounded(a.id, bytes, dirty)
+                            opt.access_unbounded(a.id, a.bytes(), a.dirty())
                         } else {
-                            opt.access(a.id, a.rank, bytes, dirty, nu, writebacks)
+                            opt.access(a.id, a.bytes(), a.dirty(), nu, stream, writebacks)
                         };
                         if got > 0 {
                             traffic.add_read(self.dense_class[a.id as usize], got);
@@ -522,20 +542,10 @@ impl AnalyticCollector {
                         mem_busy_total += mem_time;
                     }
 
-                    let cycles = match last_shape {
-                        Some((shape, cycles)) if shape == *compute => cycles,
-                        _ => {
-                            let cycles = systolic.tile_cycles(*compute);
-                            last_shape = Some((*compute, cycles));
-                            cycles
-                        }
-                    };
+                    let cycles = shape_cycles[shape as usize];
                     let data_ready = if move_bytes > 0 { mem_free } else { 0.0 };
                     let issue = compute_free.max(data_ready);
                     compute_free = issue + cycles as f64;
-                    compute_cycles_total += cycles;
-                    gemm_ops += 1;
-                    macs += compute.macs();
                     if let Some(limit) = cutoff_plus {
                         remaining_compute -= cycles;
                         if mem_free + region_mem_suffix[region] >= limit
@@ -545,7 +555,8 @@ impl AnalyticCollector {
                         }
                     }
                 }
-                OpRec::Stream(s) => {
+                OpRec::Stream(i) => {
+                    let s = self.streams[i as usize];
                     if s.read_bytes > 0 {
                         traffic.add_read(s.class, s.read_bytes);
                     }
@@ -603,7 +614,7 @@ impl AnalyticCollector {
                 spm_misses: opt.misses(),
                 gemm_ops,
                 macs,
-                spm_bytes_touched,
+                spm_bytes_touched: self.bytes_touched,
             },
             exactness: Exactness::Exact,
         })
@@ -801,6 +812,71 @@ mod tests {
         let got = c.replay(&e, &mut AnalyticScratch::new());
         assert_eq!(got.exactness, Exactness::Exact);
         assert_eq!(got.report, expected);
+    }
+
+    /// One 16×16 tile per grid cell over a `rows × cols`-tile matrix.
+    fn tile_grid(rows: u64, cols: u64) -> TileGrid {
+        TileGrid::new(
+            igo_tensor::MatrixDims::new(16 * rows, 16 * cols),
+            igo_tensor::TileShape::square(16),
+        )
+    }
+
+    #[test]
+    fn dense_ids_ascend_in_tile_key_order() {
+        let tensors = [
+            (5u32, tile_grid(2, 3)),
+            (2, tile_grid(3, 1)),
+            (0, tile_grid(1, 2)),
+        ];
+        for registration in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let mut c = AnalyticCollector::new();
+            for i in registration {
+                let (raw, grid) = &tensors[i];
+                c.register_tensor(TensorId::from_raw(*raw), TensorClass::Weight, grid);
+            }
+            // Touch every tile once, in an order unrelated to key order.
+            let mut keys = Vec::new();
+            for (raw, grid) in &tensors {
+                for r in 0..grid.rows() {
+                    for col in (0..grid.cols()).rev() {
+                        let (tensor, coord) = (TensorId::from_raw(*raw), TileCoord::new(r, col));
+                        c.gemm(
+                            &TileOpSpec::new(GemmShape::new(16, 16, 16)).read(tensor, coord, 64),
+                        );
+                        keys.push(crate::trace::TileKey { tensor, coord });
+                    }
+                }
+            }
+            let mut by_key: Vec<_> = keys
+                .into_iter()
+                .zip(c.stream.iter().map(|a| a.id))
+                .collect();
+            by_key.sort_unstable();
+            let ids: Vec<u32> = by_key.iter().map(|&(_, id)| id).collect();
+            assert_eq!(
+                ids,
+                (0..ids.len() as u32).collect::<Vec<_>>(),
+                "registration order {registration:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "registered after emission started")]
+    fn late_lower_registration_panics() {
+        let mut c = AnalyticCollector::new();
+        let grid = tile_grid(1, 1);
+        c.register_tensor(TensorId::from_raw(3), TensorClass::OutGrad, &grid);
+        c.gemm(&TileOpSpec::new(GemmShape::new(16, 16, 16)).read(
+            TensorId::from_raw(3),
+            TileCoord::new(0, 0),
+            64,
+        ));
+        // A higher id still extends the layout in key order...
+        c.register_tensor(TensorId::from_raw(4), TensorClass::InGrad, &grid);
+        // ...but a lower one cannot.
+        c.register_tensor(TensorId::from_raw(1), TensorClass::Weight, &grid);
     }
 
     #[test]

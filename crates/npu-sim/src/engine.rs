@@ -22,15 +22,14 @@
 //! available as an ablation via [`Engine::with_replacement`].
 
 use crate::config::NpuConfig;
-use crate::opt::{ReplayOptCache, NO_USE};
+use crate::opt::{AccessRec, ReplayOptCache, BARRIER_ID, NO_USE};
 use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, TraceEvent};
 use crate::spm::SpmCache;
 use crate::stats::{SimReport, Traffic};
 use crate::systolic::SystolicModel;
-use crate::trace::{Schedule, ScheduleOp, TileKey};
+use crate::trace::{Schedule, ScheduleOp, TensorId, TileKey};
 use igo_tensor::TensorClass;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SPM residency policy.
@@ -55,53 +54,21 @@ pub fn engine_run_count() -> u64 {
     ENGINE_RUNS.load(Ordering::Relaxed)
 }
 
-/// Sentinel id marking a kernel boundary in the flattened access stream.
-const BARRIER_ID: u32 = u32::MAX;
-
-/// Multiplicative (Fx-style) hasher for the tile-intern table. A `TileKey`
-/// hashes as three small integers, for which SipHash's flooding resistance
-/// buys nothing and costs most of the interning time.
-#[derive(Default)]
-struct TileKeyHasher(u64);
-
-impl Hasher for TileKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The product's high bits are the well-mixed ones; rotate them
-        // into the low bits the table indexes by.
-        self.0.rotate_left(26)
-    }
-}
-
-/// Reusable engine working memory: the flattened access stream, the interned
-/// tile-id table, the next-use oracle and the residency model's slot
+/// Reusable engine working memory: the flattened access stream, the dense
+/// tile-id layout, the next-use oracle and the residency model's slot
 /// storage. One scratch serves any number of `run_with_scratch` calls;
 /// buffers are cleared, not reallocated, between runs, which removes every
 /// per-run heap allocation from the simulate-and-select hot loop.
 #[derive(Default)]
 pub struct EngineScratch {
-    /// TileKey → dense id, built once per run.
-    intern: HashMap<TileKey, u32, BuildHasherDefault<TileKeyHasher>>,
-    /// Dense id → TileKey (for replacement-order tie-breaking).
+    /// Per tensor: the extent of its touched tiles and its first dense id.
+    grids: Vec<TensorGrid>,
+    /// Dense id → TileKey (recorded and LRU runs only).
     keys: Vec<TileKey>,
     /// Dense id → traffic class, memoized from the schedule's tensor table.
     classes: Vec<TensorClass>,
-    /// Flattened accesses: `(dense id, bytes, dirty)`; barriers appear as
-    /// `(BARRIER_ID, 0, false)` sentinels.
-    stream: Vec<(u32, u32, bool)>,
+    /// Flattened accesses; barriers appear as [`AccessRec::BARRIER`].
+    stream: Vec<AccessRec>,
     /// Stream position of each op's first access.
     op_access_start: Vec<usize>,
     /// Per-access position of the next access to the same tile
@@ -111,8 +78,25 @@ pub struct EngineScratch {
     last_seen: Vec<u32>,
     /// Eviction write-back landing buffer, drained after every access.
     writebacks: Vec<(u32, u64)>,
-    /// Reusable Belady replacement state, tie-broken by `TileKey`.
-    opt: ReplayOptCache<TileKey>,
+    /// Reusable Belady replacement state.
+    opt: ReplayOptCache,
+}
+
+/// One tensor's slice of the dense tile-id space: the bounding grid of
+/// its touched tiles, laid out row-major from `base`.
+#[derive(Debug, Clone, Copy, Default)]
+struct TensorGrid {
+    rows: u32,
+    cols: u32,
+    base: u32,
+}
+
+impl TensorGrid {
+    /// Dense id of `key` (a tile of this tensor).
+    #[inline]
+    fn id(&self, key: TileKey) -> u32 {
+        self.base + key.coord.r * self.cols + key.coord.c
+    }
 }
 
 impl EngineScratch {
@@ -317,7 +301,7 @@ impl Engine {
     ) -> SimReport {
         ENGINE_RUNS.fetch_add(1, Ordering::Relaxed);
         let EngineScratch {
-            intern,
+            grids,
             keys,
             classes,
             stream,
@@ -327,52 +311,74 @@ impl Engine {
             writebacks,
             opt,
         } = scratch;
-        intern.clear();
-        keys.clear();
-        classes.clear();
         stream.clear();
         op_access_start.clear();
         writebacks.clear();
 
-        // Pre-pass: flatten the access stream, interning each distinct tile
-        // to a dense id (one hash lookup per access; every later pass is
-        // pure array indexing), and record each op's first access slot.
-        // Barriers appear as sentinels: reuse never crosses a kernel
-        // boundary.
-        {
-            let mut intern_id = |key: TileKey| -> u32 {
-                *intern.entry(key).or_insert_with(|| {
-                    let id = keys.len() as u32;
-                    keys.push(key);
-                    classes.push(schedule.class_of(key.tensor));
-                    id
-                })
-            };
-            let slot_bytes = |bytes: u64| -> u32 {
-                u32::try_from(bytes).unwrap_or_else(|_| {
-                    panic!("tile access of {bytes} bytes overflows the u32 residency slot")
-                })
-            };
-            for op in schedule.ops() {
-                op_access_start.push(stream.len());
-                match op {
-                    ScheduleOp::Gemm(g) => {
-                        for r in &g.reads {
-                            stream.push((intern_id(r.key), slot_bytes(r.bytes), false));
-                        }
-                        if let Some(a) = &g.acc {
-                            stream.push((intern_id(a.key), slot_bytes(a.bytes), true));
-                        }
-                    }
-                    ScheduleOp::Barrier => stream.push((BARRIER_ID, 0, false)),
-                    ScheduleOp::Stream(_) => {}
+        // Dense tile ids, laid out as the analytic collector lays them
+        // out: each tensor's bounding grid of touched tiles, row-major, in
+        // ascending tensor order — so ids ascend in `TileKey` order and
+        // rank replacement victims the way the key does. Pure arithmetic:
+        // no hashing, no sort.
+        grids.clear();
+        grids.resize(schedule.num_tensors(), TensorGrid::default());
+        for op in schedule.ops() {
+            if let ScheduleOp::Gemm(g) = op {
+                for a in g.reads.iter().chain(&g.acc) {
+                    let grid = &mut grids[a.key.tensor.raw() as usize];
+                    grid.rows = grid.rows.max(a.key.coord.r + 1);
+                    grid.cols = grid.cols.max(a.key.coord.c + 1);
                 }
+            }
+        }
+        let mut num_tiles = 0u64;
+        classes.clear();
+        for (t, grid) in grids.iter_mut().enumerate() {
+            let tiles = grid.rows as u64 * grid.cols as u64;
+            assert!(
+                num_tiles + tiles < BARRIER_ID as u64,
+                "schedule tile grids overflow the dense id space"
+            );
+            grid.base = num_tiles as u32;
+            num_tiles += tiles;
+            let class = schedule.class_of(TensorId::from_raw(t as u32));
+            classes.extend(std::iter::repeat_n(class, tiles as usize));
+        }
+        keys.clear();
+        if R::ENABLED || self.replacement == Replacement::Lru {
+            for (t, grid) in grids.iter().enumerate() {
+                for r in 0..grid.rows {
+                    keys.extend((0..grid.cols).map(|c| TileKey {
+                        tensor: TensorId::from_raw(t as u32),
+                        coord: igo_tensor::TileCoord::new(r, c),
+                    }));
+                }
+            }
+        }
+        let id_of = |key: TileKey| grids[key.tensor.raw() as usize].id(key);
+
+        // Flatten the access stream and record each op's first access
+        // slot. Barriers appear as sentinels: reuse never crosses a kernel
+        // boundary.
+        for op in schedule.ops() {
+            op_access_start.push(stream.len());
+            match op {
+                ScheduleOp::Gemm(g) => {
+                    for r in &g.reads {
+                        stream.push(AccessRec::new(id_of(r.key), r.bytes, false));
+                    }
+                    if let Some(a) = &g.acc {
+                        stream.push(AccessRec::new(id_of(a.key), a.bytes, true));
+                    }
+                }
+                ScheduleOp::Barrier => stream.push(AccessRec::BARRIER),
+                ScheduleOp::Stream(_) => {}
             }
         }
 
         // Next-use oracle: for every access, the position of the next
         // access to the same tile (the knowledge a compiler has when
-        // allocating SPM) — a dense back-scan over interned ids.
+        // allocating SPM) — a dense back-scan over dense ids.
         assert!(
             stream.len() < NO_USE as usize,
             "access stream of {} positions overflows the u32 next-use slots",
@@ -381,9 +387,9 @@ impl Engine {
         next_use.clear();
         next_use.resize(stream.len(), NO_USE);
         last_seen.clear();
-        last_seen.resize(keys.len(), NO_USE);
+        last_seen.resize(classes.len(), NO_USE);
         for pos in (0..stream.len()).rev() {
-            let (id, _, _) = stream[pos];
+            let id = stream[pos].id;
             if id == BARRIER_ID {
                 last_seen.fill(NO_USE);
             } else {
@@ -394,7 +400,7 @@ impl Engine {
 
         let mut lru = match self.replacement {
             Replacement::Opt => {
-                opt.reset(self.residency_bytes, keys.len(), stream.len());
+                opt.reset(self.residency_bytes, classes.len(), stream.len());
                 None
             }
             Replacement::Lru => Some(SpmCache::new(self.residency_bytes)),
@@ -424,19 +430,20 @@ impl Engine {
                     let mut bursts = 0u64;
                     let n_accesses = g.reads.len() + usize::from(g.acc.is_some());
                     for pos in start..start + n_accesses {
-                        let (id, slot_bytes, dirty) = stream[pos];
+                        let rec = stream[pos];
+                        let (id, dirty) = (rec.id, rec.dirty());
                         debug_assert_ne!(id, BARRIER_ID, "gemm slots are never barriers");
-                        let bytes = u64::from(slot_bytes);
+                        let bytes = u64::from(rec.bytes());
                         spm_bytes_touched += bytes;
                         let (got, was_hit) = match &mut lru {
                             None => {
                                 let hits_before = if R::ENABLED { opt.hits() } else { 0 };
                                 let got = opt.access_resizable(
                                     id,
-                                    keys[id as usize],
-                                    slot_bytes,
+                                    rec.bytes(),
                                     dirty,
                                     next_use[pos],
+                                    stream,
                                     writebacks,
                                 );
                                 (got, R::ENABLED && opt.hits() > hits_before)
@@ -449,7 +456,7 @@ impl Engine {
                                     c.read(key, bytes)
                                 };
                                 writebacks
-                                    .extend(out.writebacks.iter().map(|(k, b)| (intern[k], *b)));
+                                    .extend(out.writebacks.iter().map(|(k, b)| (id_of(*k), *b)));
                                 (out.fetched_bytes, out.hit)
                             }
                         };
@@ -571,9 +578,9 @@ impl Engine {
                     // The next kernel cannot start its loads before the
                     // previous kernel's compute has finished.
                     match &mut lru {
-                        None => flush_opt::<R>(opt, keys, writebacks),
+                        None => opt.flush(writebacks),
                         Some(c) => {
-                            writebacks.extend(c.flush().into_iter().map(|(k, b)| (intern[&k], b)))
+                            writebacks.extend(c.flush().into_iter().map(|(k, b)| (id_of(k), b)))
                         }
                     }
                     if !writebacks.is_empty() {
@@ -617,8 +624,8 @@ impl Engine {
         // Recorded events attribute the flush to a synthetic op index one
         // past the end of the schedule.
         match &mut lru {
-            None => flush_opt::<R>(opt, keys, writebacks),
-            Some(c) => writebacks.extend(c.flush().into_iter().map(|(k, b)| (intern[&k], b))),
+            None => opt.flush(writebacks),
+            Some(c) => writebacks.extend(c.flush().into_iter().map(|(k, b)| (id_of(k), b))),
         }
         if !writebacks.is_empty() {
             let flush_start = mem_free.round() as u64;
@@ -666,20 +673,6 @@ impl Engine {
             macs,
             spm_bytes_touched,
         }
-    }
-}
-
-/// Flush the OPT model's dirty residents into `writebacks`. A recorded run
-/// lists them in ascending `TileKey` order, so traces do not depend on
-/// interning order; the report sums them and needs no sort.
-fn flush_opt<R: Recorder>(
-    opt: &mut ReplayOptCache<TileKey>,
-    keys: &[TileKey],
-    writebacks: &mut Vec<(u32, u64)>,
-) {
-    opt.flush(writebacks);
-    if R::ENABLED {
-        writebacks.sort_unstable_by_key(|&(id, _)| keys[id as usize]);
     }
 }
 

@@ -54,7 +54,6 @@ pub mod multicore;
 pub mod opt;
 pub mod recorder;
 pub mod spm;
-pub mod stackdist;
 pub mod stats;
 pub mod systolic;
 pub mod trace;
@@ -68,10 +67,8 @@ pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};
 pub use engine::{engine_run_count, Engine, EngineScratch, Replacement};
 pub use multicore::{
-    reduction_cycles, replay_multicore, replay_multicore_bounded, replay_sequential_partitions,
-    replay_sequential_partitions_bounded, run_multicore, run_multicore_with_scratch,
-    run_sequential_partitions, run_sequential_partitions_with_scratch, sequential_combined,
-    MultiCoreReport,
+    reduction_cycles, replay_multicore, replay_sequential_partitions, run_multicore,
+    run_sequential_partitions, sequential_combined, MultiCoreReport,
 };
 pub use opt::{OptCache, ReplayOptCache};
 pub use recorder::{
@@ -79,7 +76,6 @@ pub use recorder::{
     ReuseHistogram, RunMetrics, TileStats, TraceEvent, REUSE_BUCKETS,
 };
 pub use spm::SpmCache;
-pub use stackdist::{replay_ladder, CapacityProfile, LadderScratch};
 pub use stats::{SimReport, Traffic};
 pub use systolic::SystolicModel;
 pub use trace::{

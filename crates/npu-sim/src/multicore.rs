@@ -114,7 +114,9 @@ pub fn sequential_combined(
     }
 }
 
-/// Run one schedule per core concurrently.
+/// Run one schedule per core concurrently, reusing `scratch`'s buffers
+/// across the per-core engine runs (the cores are simulated one after
+/// another, so one scratch serves them all).
 ///
 /// `per_core.len()` may be smaller than `config.cores` (idle cores), but
 /// not larger.
@@ -123,21 +125,6 @@ pub fn sequential_combined(
 ///
 /// Panics if more schedules than cores are supplied.
 pub fn run_multicore(
-    config: &NpuConfig,
-    per_core: &[Schedule],
-    reduction: Option<StreamOp>,
-) -> MultiCoreReport {
-    run_multicore_with_scratch(config, per_core, reduction, &mut EngineScratch::new())
-}
-
-/// [`run_multicore`] reusing `scratch`'s buffers across the per-core engine
-/// runs (the cores are simulated one after another, so one scratch serves
-/// them all).
-///
-/// # Panics
-///
-/// Panics if more schedules than cores are supplied.
-pub fn run_multicore_with_scratch(
     config: &NpuConfig,
     per_core: &[Schedule],
     reduction: Option<StreamOp>,
@@ -154,6 +141,16 @@ pub fn run_multicore_with_scratch(
         .iter()
         .map(|s| engine.run_with_scratch(s, scratch))
         .collect();
+    combine_cores(config, core_reports, reduction)
+}
+
+/// The step over finished per-core reports: aggregate traffic, slowest
+/// core, then the reduction.
+fn combine_cores(
+    config: &NpuConfig,
+    core_reports: Vec<SimReport>,
+    reduction: Option<StreamOp>,
+) -> MultiCoreReport {
     let mut traffic = Traffic::new();
     for r in &core_reports {
         traffic.merge(&r.traffic);
@@ -180,20 +177,6 @@ pub fn run_sequential_partitions(
     config: &NpuConfig,
     segments: &[Schedule],
     reduction: Option<StreamOp>,
-) -> MultiCoreReport {
-    run_sequential_partitions_with_scratch(config, segments, reduction, &mut EngineScratch::new())
-}
-
-/// [`run_sequential_partitions`] reusing `scratch`'s buffers.
-///
-/// # Panics
-///
-/// Panics if the segments' tensor tables differ (they must be compatible
-/// forks of one parent — see [`Schedule::append_compatible`]).
-pub fn run_sequential_partitions_with_scratch(
-    config: &NpuConfig,
-    segments: &[Schedule],
-    reduction: Option<StreamOp>,
     scratch: &mut EngineScratch,
 ) -> MultiCoreReport {
     let engine = Engine::new(config);
@@ -208,14 +191,7 @@ pub fn run_sequential_partitions_with_scratch(
             engine.run_with_scratch(&combined, scratch)
         }
     };
-    let mut traffic = report.traffic;
-    let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
-    MultiCoreReport {
-        core_reports: vec![report],
-        reduction_cycles,
-        cycles: report.cycles + reduction_cycles,
-        traffic,
-    }
+    combine_cores(config, vec![report], reduction)
 }
 
 /// [`run_multicore`] over analytic collectors instead of materialised
@@ -223,26 +199,21 @@ pub fn run_sequential_partitions_with_scratch(
 /// math (aggregate traffic, slowest core, reduction) is applied verbatim,
 /// so the result is bit-identical to running the equivalent schedules.
 ///
+/// Cores that run the *same* collector (equal references) are replayed
+/// once and share the report: a core whose stream is byte-identical to an
+/// earlier core's costs nothing.
+///
+/// With a cycle `cutoff`, returns `None` as soon as any core's replay
+/// proves the combined cycle count (slowest core plus reduction) must
+/// exceed `cutoff` — any single core exceeding the post-reduction budget
+/// is enough, since the makespan takes the maximum.
+///
 /// # Panics
 ///
 /// Panics if more collectors than cores are supplied.
 pub fn replay_multicore(
     config: &NpuConfig,
-    per_core: &[AnalyticCollector],
-    reduction: Option<StreamOp>,
-    scratch: &mut AnalyticScratch,
-) -> MultiCoreReport {
-    replay_multicore_bounded(config, per_core, reduction, scratch, None)
-        .expect("unbounded replay always completes")
-}
-
-/// [`replay_multicore`] with an optional cycle `cutoff`: returns `None` as
-/// soon as any core's replay proves the combined cycle count (slowest core
-/// plus reduction) must exceed `cutoff` — any single core exceeding the
-/// post-reduction budget is enough, since the makespan takes the maximum.
-pub fn replay_multicore_bounded(
-    config: &NpuConfig,
-    per_core: &[AnalyticCollector],
+    per_core: &[&AnalyticCollector],
     reduction: Option<StreamOp>,
     scratch: &mut AnalyticScratch,
     cutoff: Option<u64>,
@@ -253,70 +224,53 @@ pub fn replay_multicore_bounded(
         per_core.len(),
         config.cores
     );
-    let inner_cutoff = match cutoff {
-        // A budget smaller than the reduction alone is unmeetable.
-        Some(c) => Some(c.checked_sub(reduction_cycles(config, reduction))?),
-        None => None,
-    };
+    let inner_cutoff = inner_cutoff(config, reduction, cutoff)?;
     let engine = Engine::new(config);
     let mut core_reports: Vec<SimReport> = Vec::with_capacity(per_core.len());
-    for c in per_core {
-        core_reports.push(c.replay_bounded(&engine, scratch, inner_cutoff)?.report);
+    for (i, &c) in per_core.iter().enumerate() {
+        let report = match per_core[..i].iter().position(|&e| std::ptr::eq(e, c)) {
+            Some(j) => core_reports[j],
+            None => c.replay_bounded(&engine, scratch, inner_cutoff)?.report,
+        };
+        core_reports.push(report);
     }
-    let mut traffic = Traffic::new();
-    for r in &core_reports {
-        traffic.merge(&r.traffic);
-    }
-    let slowest = core_reports.iter().map(|r| r.cycles).max().unwrap_or(0);
-    let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
-    Some(MultiCoreReport {
-        core_reports,
-        reduction_cycles,
-        cycles: slowest + reduction_cycles,
-        traffic,
-    })
+    Some(combine_cores(config, core_reports, reduction))
 }
 
 /// [`run_sequential_partitions`] over one analytic collector holding the
 /// partitions' streams emitted back-to-back (the collector-side equivalent
 /// of [`Schedule::append_compatible`] concatenation — no barrier between
 /// segments, so residency crosses partition boundaries exactly as in the
-/// engine path).
+/// engine path), with an optional cycle `cutoff` (see
+/// [`replay_multicore`]).
 pub fn replay_sequential_partitions(
-    config: &NpuConfig,
-    combined: &AnalyticCollector,
-    reduction: Option<StreamOp>,
-    scratch: &mut AnalyticScratch,
-) -> MultiCoreReport {
-    replay_sequential_partitions_bounded(config, combined, reduction, scratch, None)
-        .expect("unbounded replay always completes")
-}
-
-/// [`replay_sequential_partitions`] with an optional cycle `cutoff`; see
-/// [`replay_multicore_bounded`].
-pub fn replay_sequential_partitions_bounded(
     config: &NpuConfig,
     combined: &AnalyticCollector,
     reduction: Option<StreamOp>,
     scratch: &mut AnalyticScratch,
     cutoff: Option<u64>,
 ) -> Option<MultiCoreReport> {
-    let inner_cutoff = match cutoff {
-        Some(c) => Some(c.checked_sub(reduction_cycles(config, reduction))?),
-        None => None,
-    };
-    let engine = Engine::new(config);
     let report = combined
-        .replay_bounded(&engine, scratch, inner_cutoff)?
+        .replay_bounded(
+            &Engine::new(config),
+            scratch,
+            inner_cutoff(config, reduction, cutoff)?,
+        )?
         .report;
-    let mut traffic = report.traffic;
-    let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
-    Some(MultiCoreReport {
-        core_reports: vec![report],
-        reduction_cycles,
-        cycles: report.cycles + reduction_cycles,
-        traffic,
-    })
+    Some(combine_cores(config, vec![report], reduction))
+}
+
+/// The per-core replay budget left by `cutoff` after the reduction; `None`
+/// when the reduction alone exceeds it (the budget is unmeetable).
+fn inner_cutoff(
+    config: &NpuConfig,
+    reduction: Option<StreamOp>,
+    cutoff: Option<u64>,
+) -> Option<Option<u64>> {
+    match cutoff {
+        Some(c) => Some(Some(c.checked_sub(reduction_cycles(config, reduction))?)),
+        None => Some(None),
+    }
 }
 
 #[cfg(test)]
@@ -343,7 +297,7 @@ mod tests {
         let config = NpuConfig::large_server(2);
         let fast = schedule(2);
         let slow = schedule(20);
-        let r = run_multicore(&config, &[fast, slow], None);
+        let r = run_multicore(&config, &[fast, slow], None, &mut EngineScratch::new());
         assert_eq!(r.core_reports.len(), 2);
         assert_eq!(
             r.cycles,
@@ -356,7 +310,7 @@ mod tests {
     fn reduction_adds_cycles_and_traffic() {
         let config = NpuConfig::large_server(2);
         let parts = [schedule(4), schedule(4)];
-        let without = run_multicore(&config, &parts, None);
+        let without = run_multicore(&config, &parts, None, &mut EngineScratch::new());
         let with = run_multicore(
             &config,
             &parts,
@@ -365,6 +319,7 @@ mod tests {
                 read_bytes: 1 << 20,
                 write_bytes: 1 << 20,
             }),
+            &mut EngineScratch::new(),
         );
         assert!(with.cycles > without.cycles);
         assert_eq!(with.traffic.read(TensorClass::WGrad), 1 << 20);
@@ -374,7 +329,7 @@ mod tests {
     #[test]
     fn idle_cores_allowed() {
         let config = NpuConfig::large_server(4);
-        let r = run_multicore(&config, &[schedule(4)], None);
+        let r = run_multicore(&config, &[schedule(4)], None, &mut EngineScratch::new());
         assert_eq!(r.core_reports.len(), 1);
         assert!(r.cycles > 0);
     }
@@ -383,15 +338,21 @@ mod tests {
     #[should_panic(expected = "schedules for")]
     fn too_many_schedules_panics() {
         let config = NpuConfig::large_single_core();
-        let _ = run_multicore(&config, &[schedule(1), schedule(1)], None);
+        let _ = run_multicore(
+            &config,
+            &[schedule(1), schedule(1)],
+            None,
+            &mut EngineScratch::new(),
+        );
     }
 
     #[test]
     fn sequential_partitions_accumulate_time() {
         let config = NpuConfig::large_single_core();
         let parts = [schedule(400), schedule(400)];
-        let seq = run_sequential_partitions(&config, &parts, None);
-        let single = run_sequential_partitions(&config, &parts[..1], None);
+        let seq = run_sequential_partitions(&config, &parts, None, &mut EngineScratch::new());
+        let single =
+            run_sequential_partitions(&config, &parts[..1], None, &mut EngineScratch::new());
         assert!(seq.cycles > single.cycles);
     }
 
@@ -402,8 +363,9 @@ mod tests {
         // traffic equals a single segment's.
         let config = NpuConfig::large_single_core();
         let parts = [schedule(4), schedule(4)];
-        let seq = run_sequential_partitions(&config, &parts, None);
-        let single = run_sequential_partitions(&config, &parts[..1], None);
+        let seq = run_sequential_partitions(&config, &parts, None, &mut EngineScratch::new());
+        let single =
+            run_sequential_partitions(&config, &parts[..1], None, &mut EngineScratch::new());
         assert_eq!(
             seq.traffic.read_total(),
             single.traffic.read_total(),
@@ -422,6 +384,7 @@ mod tests {
                 read_bytes: 0,
                 write_bytes: 0,
             }),
+            &mut EngineScratch::new(),
         );
         assert_eq!(r.reduction_cycles, 0);
     }
@@ -435,7 +398,7 @@ mod tests {
             read_bytes: 1 << 16,
             write_bytes: 1 << 16,
         });
-        let mc = run_multicore(&config, &parts, reduction);
+        let mc = run_multicore(&config, &parts, reduction, &mut EngineScratch::new());
         let c = mc.combined();
         assert_eq!(c.cycles, mc.cycles);
         assert_eq!(c.traffic, mc.traffic);
@@ -451,7 +414,7 @@ mod tests {
     #[test]
     fn empty_segments_are_free() {
         let config = NpuConfig::large_single_core();
-        let r = run_sequential_partitions(&config, &[], None);
+        let r = run_sequential_partitions(&config, &[], None, &mut EngineScratch::new());
         assert_eq!(r.cycles, 0);
     }
 }

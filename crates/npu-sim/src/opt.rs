@@ -30,7 +30,7 @@
 
 use crate::spm::AccessOutcome;
 use crate::trace::TileKey;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Position of an access in the flattened schedule access stream;
 /// `usize::MAX` means "never used again".
@@ -246,6 +246,64 @@ impl OptCache {
 /// "Not used again" sentinel of [`ReplayOptCache`]'s next-use positions.
 pub(crate) const NO_USE: u32 = u32::MAX;
 
+/// Dense id of the kernel-boundary sentinel in a flattened access stream.
+pub(crate) const BARRIER_ID: u32 = u32::MAX;
+
+/// Flag bit of [`AccessRec`]'s packed bytes marking an accumulator touch.
+const DIRTY_BIT: u32 = 1 << 31;
+
+/// One tile access of a flattened schedule stream, packed to 8 bytes: the
+/// record both the cycle [`crate::Engine`] and the analytic replay feed to
+/// [`ReplayOptCache`].
+///
+/// Dense ids ascend in [`TileKey`] order (both producers number tiles that
+/// way), so an id is its own victim tie-break rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AccessRec {
+    /// Dense tile id, or [`BARRIER_ID`].
+    pub(crate) id: u32,
+    /// Access bytes (`< 2^31`) with [`DIRTY_BIT`] flagging accumulator
+    /// touches.
+    bytes_dirty: u32,
+}
+
+impl AccessRec {
+    /// The kernel-boundary sentinel (reuse never crosses it).
+    pub(crate) const BARRIER: Self = Self {
+        id: BARRIER_ID,
+        bytes_dirty: 0,
+    };
+
+    /// An access of `bytes` to tile `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` does not fit the 31-bit byte field.
+    #[inline]
+    pub(crate) fn new(id: u32, bytes: u64, dirty: bool) -> Self {
+        assert!(
+            bytes < DIRTY_BIT as u64,
+            "tile access of {bytes} bytes overflows the 31-bit record field"
+        );
+        Self {
+            id,
+            bytes_dirty: bytes as u32 | if dirty { DIRTY_BIT } else { 0 },
+        }
+    }
+
+    /// Access bytes.
+    #[inline]
+    pub(crate) fn bytes(self) -> u32 {
+        self.bytes_dirty & !DIRTY_BIT
+    }
+
+    /// Whether this is an accumulator (read-modify-write) touch.
+    #[inline]
+    pub(crate) fn dirty(self) -> bool {
+        self.bytes_dirty & DIRTY_BIT != 0
+    }
+}
+
 /// Per-tile replacement state, packed to 12 bytes: the slot array is the
 /// replacement loop's only randomly-indexed memory, so its footprint bounds
 /// the loop's cache behaviour.
@@ -258,63 +316,62 @@ struct ReplaySlot {
     spilled: bool,
 }
 
-/// Belady replacement over dense tile ids with a position-indexed victim
-/// bitset: the residency model of both the cycle [`crate::Engine`] and the
-/// analytic replay.
+/// Highest set bit of `bits` at or below word `hint >> 6`, as a bit index.
+/// The caller guarantees one is set.
+#[inline]
+fn highest_set(bits: &[u64], hint: u32) -> u32 {
+    let mut w = (hint >> 6) as usize;
+    loop {
+        let word = bits[w];
+        if word != 0 {
+            return ((w as u32) << 6) | (63 - word.leading_zeros());
+        }
+        debug_assert!(w > 0, "a set bit below the hint");
+        w -= 1;
+    }
+}
+
+/// Belady replacement over dense tile ids with two victim bitsets: the
+/// residency model of both the cycle [`crate::Engine`] and the analytic
+/// replay.
 ///
 /// Victim choice equals [`OptCache`]'s: evict the resident maximising
-/// `(next_use, rank)`, and bypass an incoming tile whose own next use is no
-/// sooner than that victim's. `K` is the tie-break rank and must order
-/// tiles as [`TileKey`] does: the engine passes the `TileKey` itself, the
-/// analytic replay an order-isomorphic packed `u64`.
+/// `(next_use, TileKey)`, and bypass an incoming tile whose own next use is
+/// no sooner than that victim's. Callers number tiles in `TileKey` order,
+/// so the key tie-break is an id comparison.
 ///
-/// A next-use value is a *stream position*, and any position is the next
-/// use of at most one tile — so "resident tile with the farthest finite
-/// next use" is the highest set bit of a bitset indexed by position, and a
-/// hit is two O(1) bit flips (an ordered set would pay a remove and an
-/// insert). Residents with *no* further use in their region ([`NO_USE`])
-/// outrank every finite position and are tie-broken by rank; they sit in a
-/// small max-heap.
+/// * A finite next use is a *stream position*, and any position is the
+///   next use of at most one tile — so "resident with the farthest finite
+///   next use" is the highest set bit of a position-indexed bitset, and
+///   its id is read back from the caller's stream at that position. A hit
+///   is two O(1) bit flips.
+/// * Residents with *no* further use in their region ([`NO_USE`]) outrank
+///   every finite position; among them the highest id (the highest key)
+///   goes first, so they sit in an id-indexed bitset.
 ///
 /// Positions and tile bytes are `u32`: callers convert with a checked,
-/// messaged assertion (see [`ReplayOptCache::reset`]).
-#[derive(Debug)]
-pub struct ReplayOptCache<K = u64> {
+/// messaged assertion (see [`ReplayOptCache::reset`] and [`AccessRec::new`]).
+#[derive(Debug, Default)]
+pub struct ReplayOptCache {
     capacity: u64,
     used: u64,
     slots: Vec<ReplaySlot>,
-    /// Bit `p` set iff some resident tile's current next-use is stream
+    /// Bit `p` set iff some resident tile's current next use is stream
     /// position `p`.
     live_bits: Vec<u64>,
-    /// Stream position → resident tile id; valid only where the
-    /// corresponding `live_bits` bit is set.
-    by_next_use: Vec<u32>,
-    /// Residents with no further use in their region, max rank first —
-    /// they outrank every finite-next-use resident as victims.
-    dead: BinaryHeap<(K, u32)>,
     /// Upper bound on the highest set bit of `live_bits`.
-    max_hint: u32,
+    live_hint: u32,
+    /// Bit `id` set iff tile `id` is resident with no further use.
+    dead_bits: Vec<u64>,
+    /// Upper bound on the highest set bit of `dead_bits`.
+    dead_hint: u32,
+    /// Set bits in `dead_bits`.
+    dead: u32,
     hits: u64,
     misses: u64,
 }
 
-impl<K: Ord> Default for ReplayOptCache<K> {
-    fn default() -> Self {
-        Self {
-            capacity: 0,
-            used: 0,
-            slots: Vec::new(),
-            live_bits: Vec::new(),
-            by_next_use: Vec::new(),
-            dead: BinaryHeap::new(),
-            max_hint: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-impl<K: Ord + Copy> ReplayOptCache<K> {
+impl ReplayOptCache {
     /// Prepare for a run over `num_tiles` dense ids and a stream of
     /// `stream_len` positions with `capacity` bytes. Keeps previously
     /// allocated storage.
@@ -335,10 +392,11 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
         self.slots.resize(num_tiles, ReplaySlot::default());
         self.live_bits.clear();
         self.live_bits.resize(stream_len.div_ceil(64), 0);
-        // Stale contents are fine — entries are read only under a set bit.
-        self.by_next_use.resize(stream_len, 0);
-        self.dead.clear();
-        self.max_hint = 0;
+        self.live_hint = 0;
+        self.dead_bits.clear();
+        self.dead_bits.resize(num_tiles.div_ceil(64), 0);
+        self.dead_hint = 0;
+        self.dead = 0;
         self.hits = 0;
         self.misses = 0;
     }
@@ -358,13 +416,17 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
         self.used
     }
 
-    /// Register `pos` as the next use of resident tile `id`.
+    /// Register resident `id`'s next use: a position bit for a finite
+    /// position, an id bit for [`NO_USE`].
     #[inline]
-    fn set_live(&mut self, pos: u32, id: u32) {
-        self.live_bits[(pos >> 6) as usize] |= 1u64 << (pos & 63);
-        self.by_next_use[pos as usize] = id;
-        if pos > self.max_hint {
-            self.max_hint = pos;
+    fn register(&mut self, id: u32, next_use: u32) {
+        if next_use == NO_USE {
+            self.dead_bits[(id >> 6) as usize] |= 1u64 << (id & 63);
+            self.dead_hint = self.dead_hint.max(id);
+            self.dead += 1;
+        } else {
+            self.live_bits[(next_use >> 6) as usize] |= 1u64 << (next_use & 63);
+            self.live_hint = self.live_hint.max(next_use);
         }
     }
 
@@ -374,40 +436,22 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
         self.live_bits[(pos >> 6) as usize] &= !(1u64 << (pos & 63));
     }
 
-    /// Register resident `id`'s next use: a bit for a finite position, a
-    /// heap entry for [`NO_USE`].
-    #[inline]
-    fn register(&mut self, id: u32, rank: K, next_use: u32) {
-        if next_use == NO_USE {
-            self.dead.push((rank, id));
-        } else {
-            self.set_live(next_use, id);
-        }
-    }
-
-    /// The eviction victim — the resident maximising `(next_use, rank)` —
+    /// The eviction victim — the resident maximising `(next_use, id)` —
     /// as `(next_use, id)`, without removing it. The caller must ensure a
     /// resident exists (`used > 0`).
-    fn peek_victim(&mut self) -> (u32, u32) {
-        if let Some(&(_, id)) = self.dead.peek() {
-            return (NO_USE, id);
+    fn peek_victim(&mut self, stream: &[AccessRec]) -> (u32, u32) {
+        if self.dead > 0 {
+            self.dead_hint = highest_set(&self.dead_bits, self.dead_hint);
+            return (NO_USE, self.dead_hint);
         }
-        let mut w = (self.max_hint >> 6) as usize;
-        loop {
-            let word = self.live_bits[w];
-            if word != 0 {
-                let pos = ((w as u32) << 6) | (63 - word.leading_zeros());
-                self.max_hint = pos;
-                return (pos, self.by_next_use[pos as usize]);
-            }
-            debug_assert!(w > 0, "used > 0 implies a resident victim");
-            w -= 1;
-        }
+        self.live_hint = highest_set(&self.live_bits, self.live_hint);
+        (self.live_hint, stream[self.live_hint as usize].id)
     }
 
     fn evict(&mut self, victim_next: u32, id: u32, writebacks: &mut Vec<(u32, u64)>) {
         if victim_next == NO_USE {
-            self.dead.pop();
+            self.dead_bits[(id >> 6) as usize] &= !(1u64 << (id & 63));
+            self.dead -= 1;
         } else {
             self.clear_live(victim_next);
         }
@@ -425,18 +469,19 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
     /// Access tile `id` with the semantics of [`OptCache::access`]; dirty
     /// victims are appended to `writebacks` as `(victim_id, bytes)` and
     /// the fetched bytes are returned. `next_use` is the stream position of
-    /// the tile's next access ([`NO_USE`], `u32::MAX`, if none).
+    /// the tile's next access ([`NO_USE`] if none) and `stream` the access
+    /// stream those positions index.
     ///
     /// A tile's bytes must not change between accesses (the schedule
     /// builders emit one size per tile); [`Self::access_resizable`] serves
     /// streams where they may.
-    pub fn access(
+    pub(crate) fn access(
         &mut self,
         id: u32,
-        rank: K,
         bytes: u32,
         dirty: bool,
         next_use: u32,
+        stream: &[AccessRec],
         writebacks: &mut Vec<(u32, u64)>,
     ) -> u64 {
         let slot = &mut self.slots[id as usize];
@@ -445,7 +490,7 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
             // invariant cannot break, so no eviction check is needed. This
             // access *is* the tile's registered next use (the oracle
             // pointed here), so the old registration is retired and the
-            // new next-use position registered: two O(1) bit flips.
+            // new next use registered: two O(1) bit flips.
             debug_assert_eq!(slot.bytes, bytes, "a tile's access bytes are constant");
             let old = slot.next_use;
             debug_assert_ne!(old, NO_USE, "a dead resident cannot be accessed again");
@@ -453,7 +498,7 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
             slot.dirty |= dirty;
             self.hits += 1;
             self.clear_live(old);
-            self.register(id, rank, next_use);
+            self.register(id, next_use);
             return 0;
         }
 
@@ -468,7 +513,7 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
         // that is itself the furthest (bypass instead).
         let mut admitted = bytes as u64 <= self.capacity;
         while admitted && self.used + bytes as u64 > self.capacity {
-            let (victim_next, victim_id) = self.peek_victim();
+            let (victim_next, victim_id) = self.peek_victim(stream);
             if victim_next <= next_use {
                 admitted = false;
                 break;
@@ -483,7 +528,7 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
             slot.dirty = dirty;
             slot.next_use = next_use;
             self.used += bytes as u64;
-            self.register(id, rank, next_use);
+            self.register(id, next_use);
         } else if dirty {
             // Bypassed dirty tile: write through.
             writebacks.push((id, bytes as u64));
@@ -496,24 +541,24 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
     /// accesses, as hand-built schedules can. A hit that resizes its tile
     /// moves `used` to the new size, then evicts furthest-future residents
     /// — possibly the touched tile itself — until the residency fits again.
-    pub fn access_resizable(
+    pub(crate) fn access_resizable(
         &mut self,
         id: u32,
-        rank: K,
         bytes: u32,
         dirty: bool,
         next_use: u32,
+        stream: &[AccessRec],
         writebacks: &mut Vec<(u32, u64)>,
     ) -> u64 {
         let slot = &mut self.slots[id as usize];
         if !slot.resident || slot.bytes == bytes {
-            return self.access(id, rank, bytes, dirty, next_use, writebacks);
+            return self.access(id, bytes, dirty, next_use, stream, writebacks);
         }
         self.used = self.used - slot.bytes as u64 + bytes as u64;
         slot.bytes = bytes;
-        self.access(id, rank, bytes, dirty, next_use, writebacks);
+        self.access(id, bytes, dirty, next_use, stream, writebacks);
         while self.used > self.capacity {
-            let (victim_next, victim_id) = self.peek_victim();
+            let (victim_next, victim_id) = self.peek_victim(stream);
             self.evict(victim_next, victim_id, writebacks);
         }
         0
@@ -522,11 +567,11 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
     /// [`Self::access`] specialised to a barrier region whose distinct-tile
     /// footprint fits in `capacity`: no eviction can ever fire (residency
     /// grows monotonically and tops out at the footprint), so the next-use
-    /// oracle, the victim index, and all capacity checks are dead weight —
-    /// a first touch admits unconditionally and every later touch is a
-    /// hit. The victim index is left untouched; the barrier `clear` that
-    /// ends the region resets it before any bounded-path access can
-    /// observe it.
+    /// oracle, the victim bitsets, and all capacity checks are dead weight
+    /// — a first touch admits unconditionally and every later touch is a
+    /// hit. The bitsets are left untouched; the barrier `clear` that ends
+    /// the region resets them before any bounded-path access can observe
+    /// them.
     pub(crate) fn access_unbounded(&mut self, id: u32, bytes: u32, dirty: bool) -> u64 {
         let slot = &mut self.slots[id as usize];
         if slot.resident {
@@ -549,9 +594,9 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
 
     /// Drop all residency and forget spill history (kernel boundary).
     ///
-    /// The victim bitset needs no reset: the next-use oracle never chains
-    /// across a barrier, so every resident's final pre-barrier access
-    /// already retired its registration (and moved it to `dead`).
+    /// The position bitset needs no reset: the next-use oracle never
+    /// chains across a barrier, so every resident's final pre-barrier
+    /// access already retired its position bit (and set its dead bit).
     pub fn clear(&mut self) {
         for slot in &mut self.slots {
             *slot = ReplaySlot {
@@ -563,13 +608,15 @@ impl<K: Ord + Copy> ReplayOptCache<K> {
             self.live_bits.iter().all(|&w| w == 0),
             "no next-use registration survives a barrier"
         );
-        self.dead.clear();
-        self.max_hint = 0;
+        self.dead_bits.fill(0);
+        self.dead_hint = 0;
+        self.dead = 0;
+        self.live_hint = 0;
         self.used = 0;
     }
 
-    /// Flush all dirty residents into `writebacks`, in dense-id order (they
-    /// stay resident but become clean).
+    /// Flush all dirty residents into `writebacks`, in ascending id (so
+    /// `TileKey`) order; they stay resident but become clean.
     pub fn flush(&mut self, writebacks: &mut Vec<(u32, u64)>) {
         for (id, slot) in self.slots.iter_mut().enumerate() {
             if slot.resident && slot.dirty {
@@ -721,14 +768,19 @@ mod tests {
 
     #[test]
     fn replay_cache_grown_hit_evicts_furthest_even_itself() {
-        let mut c = ReplayOptCache::<TileKey>::default();
+        let mut c = ReplayOptCache::default();
         let mut wb = Vec::new();
-        c.reset(300, 2, 8);
-        c.access_resizable(0, key(0, 0), 100, false, 5, &mut wb);
-        c.access_resizable(1, key(1, 0), 100, true, 6, &mut wb);
-        // The accumulator grows to 250 B on its hit; its next use (7) is
+        let stream: Vec<AccessRec> = [(0, 100, false), (1, 100, true), (1, 250, true)]
+            .iter()
+            .chain(&[(0, 100, false), (1, 250, true)])
+            .map(|&(id, bytes, dirty)| AccessRec::new(id, bytes, dirty))
+            .collect();
+        c.reset(300, 2, stream.len());
+        c.access_resizable(0, 100, false, 3, &stream, &mut wb);
+        c.access_resizable(1, 100, true, 2, &stream, &mut wb);
+        // The accumulator grows to 250 B on its hit; its next use (4) is
         // the furthest, so it evicts itself and writes back its new size.
-        let got = c.access_resizable(1, key(1, 0), 250, true, 7, &mut wb);
+        let got = c.access_resizable(1, 250, true, 4, &stream, &mut wb);
         assert_eq!(got, 0);
         assert_eq!((c.hits(), c.misses()), (1, 2));
         assert_eq!(wb, vec![(1, 250)]);
@@ -754,32 +806,50 @@ mod tests {
         next
     }
 
-    /// The bitset cache (as the engine drives it: `TileKey` ranks, dense
-    /// ids assigned in first-touch order, resizable hits) must agree with
-    /// the hash-map [`OptCache`] on every access of seeded random streams
-    /// mixing dirty accumulators, bypass, oversized tiles, resize-on-hit
-    /// and barriers: hit or miss, fetched bytes, the write-back multiset
-    /// and `used` after each access, and the flush multiset at every
-    /// barrier and at the end.
+    /// The bitset cache (as its callers drive it: dense ids ranked in
+    /// `TileKey` order, resizable hits) must agree with the hash-map
+    /// [`OptCache`] on every access of seeded random streams mixing dirty
+    /// accumulators, bypass, oversized tiles, resize-on-hit and barriers:
+    /// hit or miss, fetched bytes, the write-back multiset and `used` after
+    /// each access, and the flush multiset at every barrier and at the
+    /// end. Every third stream is dead-heavy — many tiles touched once or
+    /// twice under a roomy capacity — so dozens of residents with no
+    /// further use compete as victims at once.
     #[test]
     fn replay_cache_matches_opt_cache_on_random_streams() {
         let mut rng = igo_tensor::SplitMix64::new(0x0D1F_F0B7);
-        let mut replay = ReplayOptCache::<TileKey>::default();
+        let mut replay = ReplayOptCache::default();
         let mut wb = Vec::new();
+        let mut most_dead = 0u32;
         let sorted = |mut v: Vec<(TileKey, u64)>| {
             v.sort_unstable();
             v
         };
-        for case in 0..500 {
-            let tiles = rng.range_u64(1, 24) as u32;
-            let capacity = rng.range_u64(1, 12) * 100;
-            // Keys run against tile order, so dense ids (first touch) and
-            // rank order disagree.
+        for case in 0..900 {
+            let dead_heavy = case % 3 == 2;
+            let (tiles, capacity, max_bytes) = if dead_heavy {
+                (
+                    rng.range_u64(20, 160) as u32,
+                    rng.range_u64(5, 40) * 100,
+                    100,
+                )
+            } else {
+                // Sizes up to 500 B against capacities from 100 B: some
+                // tiles never fit.
+                (rng.range_u64(1, 24) as u32, rng.range_u64(1, 12) * 100, 500)
+            };
+            // Keys run against tile order, so first touch and key order
+            // disagree; a tile's dense id is its key's rank.
             let keys: Vec<TileKey> = (0..tiles).map(|t| key(t % 3, tiles - t)).collect();
+            let mut by_rank: Vec<u32> = (0..tiles).collect();
+            by_rank.sort_unstable_by_key(|&t| keys[t as usize]);
+            let mut id_of = vec![0u32; tiles as usize];
+            for (id, &t) in by_rank.iter().enumerate() {
+                id_of[t as usize] = id as u32;
+            }
+            let key_of = |id: u32| keys[by_rank[id as usize] as usize];
             let accumulator: Vec<bool> = (0..tiles).map(|_| rng.range_u64(0, 4) == 0).collect();
-            // Sizes up to 500 B against capacities from 100 B: some tiles
-            // never fit.
-            let mut bytes: Vec<u64> = (0..tiles).map(|_| rng.range_u64(1, 500)).collect();
+            let mut bytes: Vec<u64> = (0..tiles).map(|_| rng.range_u64(1, max_bytes)).collect();
             let len = rng.range_u64(1, 400) as usize;
             let stream: Vec<Option<(u32, u64, bool)>> = (0..len)
                 .map(|_| {
@@ -788,25 +858,27 @@ mod tests {
                     }
                     let t = rng.index(tiles as usize);
                     if rng.range_u64(0, 8) == 0 {
-                        bytes[t] = rng.range_u64(1, 500);
+                        bytes[t] = rng.range_u64(1, max_bytes);
                     }
                     let dirty = accumulator[t] || rng.range_u64(0, 16) == 0;
                     Some((t as u32, bytes[t], dirty))
                 })
                 .collect();
             let next = next_uses(&stream);
+            let recs: Vec<AccessRec> = stream
+                .iter()
+                .map(|a| match *a {
+                    None => AccessRec::BARRIER,
+                    Some((t, b, dirty)) => AccessRec::new(id_of[t as usize], b, dirty),
+                })
+                .collect();
 
-            let mut ids: Vec<Option<u32>> = vec![None; tiles as usize];
-            let mut id_keys: Vec<TileKey> = Vec::new();
             let mut opt = OptCache::new(capacity);
             replay.reset(capacity, tiles as usize, len);
             for (pos, access) in stream.iter().enumerate() {
                 let Some((t, b, dirty)) = *access else {
                     replay.flush(&mut wb);
-                    let got: Vec<_> = wb
-                        .drain(..)
-                        .map(|(i, b)| (id_keys[i as usize], b))
-                        .collect();
+                    let got: Vec<_> = wb.drain(..).map(|(i, b)| (key_of(i), b)).collect();
                     assert_eq!(
                         sorted(got),
                         sorted(opt.flush()),
@@ -816,24 +888,17 @@ mod tests {
                     opt.clear();
                     continue;
                 };
-                let id = *ids[t as usize].get_or_insert_with(|| {
-                    id_keys.push(keys[t as usize]);
-                    id_keys.len() as u32 - 1
-                });
                 let nu = next[pos];
                 let hits_before = replay.hits();
-                let fetched =
-                    replay.access_resizable(id, keys[t as usize], b as u32, dirty, nu, &mut wb);
+                let id = id_of[t as usize];
+                let fetched = replay.access_resizable(id, b as u32, dirty, nu, &recs, &mut wb);
                 let want = opt.access(
                     keys[t as usize],
                     b,
                     dirty,
                     if nu == NO_USE { NEVER } else { nu as usize },
                 );
-                let got: Vec<_> = wb
-                    .drain(..)
-                    .map(|(i, b)| (id_keys[i as usize], b))
-                    .collect();
+                let got: Vec<_> = wb.drain(..).map(|(i, b)| (key_of(i), b)).collect();
                 assert_eq!(
                     replay.hits() > hits_before,
                     want.hit,
@@ -846,12 +911,10 @@ mod tests {
                     "case {case} wb at {pos}"
                 );
                 assert_eq!(replay.used(), opt.used(), "case {case} used at {pos}");
+                most_dead = most_dead.max(replay.dead);
             }
             replay.flush(&mut wb);
-            let got: Vec<_> = wb
-                .drain(..)
-                .map(|(i, b)| (id_keys[i as usize], b))
-                .collect();
+            let got: Vec<_> = wb.drain(..).map(|(i, b)| (key_of(i), b)).collect();
             assert_eq!(sorted(got), sorted(opt.flush()), "case {case} final flush");
             assert_eq!(
                 (replay.hits(), replay.misses()),
@@ -859,6 +922,10 @@ mod tests {
                 "case {case} totals"
             );
         }
+        assert!(
+            most_dead >= 32,
+            "dead-heavy streams must hold many dead residents at once ({most_dead})"
+        );
     }
 
     #[test]

@@ -1,86 +1,177 @@
 #!/usr/bin/env bash
-# Performance benchmark for the IGO workspace.
+# Paired benchmark of the working tree against a base commit on the
+# repository's benchmark (`simbench/`), plus an optional one-factor
+# ablation. Hermetic: no network.
 #
-# Runs `igo-sim perf` (the cold-cache SPM-ladder sweeps that compare the
-# engine path against the analytic fast path, and flat per-rung replay
-# against the capacity-oblivious profiler) plus a design-space sweep
-# micro-benchmark in both execution modes (profiled vs --no-profile),
-# and records the numbers in BENCH_<N>.json at the repo root so the perf
-# trajectory is tracked across PRs. Hermetic: no network.
+# usage: scripts/bench.sh BASE [LABEL=SOURCE ...]
+#
+#   BASE          git revision of the parent commit (arm "parent").
+#   LABEL=SOURCE  ablation arms, in cumulative order: each adds one factor
+#                 to the arm before it (the first to BASE), and the working
+#                 tree (arm "change") adds the last factor. SOURCE is a git
+#                 revision or a directory holding a source tree.
+#
+# Every arm's igo-simbench is built once, from a snapshot of its sources in
+# a temporary directory, so editing the working tree mid-run changes
+# nothing. Then, each run lasting SECONDS_PER_RUN (the benchmark's 35 s):
+#
+#   claim          CLAIM_PAIRS parent/change pairs on CLAIM_WORKLOAD, one
+#                  fresh seed per pair, alternating which side runs first;
+#   no-regression  NOREG_PAIRS such pairs on each other workload;
+#   ablation       ABLATION_ROUNDS rounds of every arm on every workload,
+#                  arm order reversed every other round;
+#   traced         one `--trace 1` run of parent and change per workload,
+#                  for the per-layer metrics.
+#
+# Writes BENCH_<BENCH_ID>.json: DESCRIPTION (what the arms are), the host,
+# every run's final JSON line tagged with arm, workload, seed and role, and
+# per (role, workload, metric) the median and quartiles of each arm plus,
+# for paired roles, the change's wins over the parent.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
 export CARGO_NET_OFFLINE=true
-BENCH_ID="${BENCH_ID:-5}"
+
+BASE="${1:?usage: scripts/bench.sh BASE [LABEL=SOURCE ...]}"
+shift
+BENCH_ID="${BENCH_ID:-9}"
+DESCRIPTION="${DESCRIPTION:-}"
+SECONDS_PER_RUN="${SECONDS_PER_RUN:-35}"
+CLAIM_WORKLOAD="${CLAIM_WORKLOAD:-layer-mix}"
+CLAIM_PAIRS="${CLAIM_PAIRS:-10}"
+NOREG_PAIRS="${NOREG_PAIRS:-6}"
+ABLATION_ROUNDS="${ABLATION_ROUNDS:-3}"
+SEED_BASE="${SEED_BASE:-101}"
+WORKLOADS="zoo-ladder layer-mix oracle"
 OUT="BENCH_${BENCH_ID}.json"
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
 
-cargo build --release -q -p igo-cli
-
-echo "== igo-sim perf server =="
-PERF_LOG="$(mktemp)"
-./target/release/igo-sim perf server | tee "$PERF_LOG"
-
-engine_s="$(awk '/^engine-path/   { sub(/s$/, "", $2); print $2 }' "$PERF_LOG")"
-analytic_s="$(awk '/^analytic-path/ { sub(/s$/, "", $2); print $2 }' "$PERF_LOG")"
-speedup="$(awk '/analytic speedup/ { for (i=1;i<=NF;i++) if ($i=="speedup") { sub(/x$/, "", $(i+1)); print $(i+1) } }' "$PERF_LOG")"
-identical="$(awk -F': *' '/^bit-identical.*analytic speedup/ { split($2, a, " "); print (a[1]=="yes") ? "true" : "false" }' "$PERF_LOG")"
-
-# The capacity-oblivious profiler arm: flat replay-per-rung vs one
-# profiling pass per candidate schedule, memoization off in both.
-flat_s="$(awk '/^flat-replay/ { sub(/s$/, "", $2); print $2 }' "$PERF_LOG")"
-profiled_s="$(awk '/^profiled/ { sub(/s$/, "", $2); print $2 }' "$PERF_LOG")"
-profile_speedup="$(awk '/profile speedup/ { for (i=1;i<=NF;i++) if ($i=="speedup") { sub(/x$/, "", $(i+1)); print $(i+1) } }' "$PERF_LOG")"
-profile_identical="$(awk -F': *' '/^bit-identical.*profile speedup/ { split($2, a, " "); print (a[1]=="yes") ? "true" : "false" }' "$PERF_LOG")"
-
-echo "== igo-sim sweep zoo (micro-benchmark: profiled vs --no-profile) =="
-SWEEP_DIR="$(mktemp -d)"
-run_sweep() { # run_sweep <subdir> [extra flags...]; echoes the run's wall seconds
-  local sub="$1"
-  shift
-  ./target/release/igo-sim sweep zoo --spm 3,6,12,24 --out "$SWEEP_DIR/$sub" "$@" >/dev/null
-  grep -o '"wall_seconds":[0-9.]*' "$SWEEP_DIR/$sub/summary.json" | cut -d: -f2
+# snapshot <label> <git revision | directory | "."> — copy the sources and
+# build the arm's igo-simbench into $WORK/<label>.
+snapshot() {
+  local label="$1" src="$2" dir="$WORK/$1"
+  mkdir -p "$dir"
+  if [ -d "$src" ]; then
+    tar -C "$src" --exclude=./target --exclude=./simbench/target --exclude=./.git -cf - . |
+      tar -C "$dir" -xf -
+  else
+    git archive "$src" | tar -C "$dir" -xf -
+  fi
+  echo "building arm $label" >&2
+  cargo build --release --quiet --manifest-path "$dir/simbench/Cargo.toml"
 }
-# Interleave the two modes and keep the min of two runs each, so a noisy
-# box does not bias the recorded comparison toward either mode.
-p1="$(run_sweep prof)"
-f1="$(run_sweep flat --no-profile)"
-p2="$(run_sweep prof)"
-f2="$(run_sweep flat --no-profile)"
-prof_wall="$(printf '%s\n%s\n' "$p1" "$p2" | sort -g | head -1)"
-flat_wall="$(printf '%s\n%s\n' "$f1" "$f2" | sort -g | head -1)"
-sweep_speedup="$(awk -v f="$flat_wall" -v p="$prof_wall" 'BEGIN { printf "%.3f", f / p }')"
-SWEEP_SUMMARY="$(cat "$SWEEP_DIR/prof/summary.json")"
-FLAT_SUMMARY="$(cat "$SWEEP_DIR/flat/summary.json")"
-best_prof="$(grep -o '"best":.*' "$SWEEP_DIR/prof/summary.json")"
-best_flat="$(grep -o '"best":.*' "$SWEEP_DIR/flat/summary.json")"
-if [ "$best_prof" = "$best_flat" ]; then frontier_identical=true; else frontier_identical=false; fi
-echo "profiled ${prof_wall}s vs flat ${flat_wall}s  (speedup ${sweep_speedup}x, frontier identical: ${frontier_identical})"
 
-cat > "$OUT" <<JSON
+ARMS="parent"
+snapshot parent "$BASE"
+for spec in "$@"; do
+  snapshot "${spec%%=*}" "${spec#*=}"
+  ARMS="$ARMS ${spec%%=*}"
+done
+snapshot change .
+ARMS="$ARMS change"
+
+RUNS="$WORK/runs.jsonl"
+FLAT="$WORK/flat.tsv"
+: >"$RUNS"
+: >"$FLAT"
+
+# run <role> <arm> <workload> <seed> [trace]: one benchmark run, recorded
+# raw in $RUNS and flattened to (role, workload, seed, arm, metric, value)
+# rows in $FLAT.
+run() {
+  local role="$1" arm="$2" workload="$3" seed="$4" trace="${5:-0}" line
+  line="$("$WORK/$arm/simbench/target/release/igo-simbench" --workload "$workload" \
+    --seed "$seed" --seconds "$SECONDS_PER_RUN" --trace "$trace" 2>/dev/null | tail -1)"
+  echo "$role $workload seed $seed $arm: $line" >&2
+  printf '{"role": "%s", "arm": "%s", "workload": "%s", "seed": %s, "trace": %s, "result": %s}\n' \
+    "$role" "$arm" "$workload" "$seed" "$trace" "$line" >>"$RUNS"
+  printf '%s\n' "$line" |
+    grep -o '"[a-z0-9_.]*": {"value": [-0-9.e+]*' |
+    sed 's/^"\([^"]*\)": {"value": \(.*\)$/\1 \2/' |
+    while read -r metric value; do
+      printf '%s\t%s\t%s\t%s\t%s\t%s\n' "$role" "$workload" "$seed" "$arm" "$metric" "$value" >>"$FLAT"
+    done
+}
+
+# pairs <role> <workload> <count>: alternating parent/change pairs.
+seed="$SEED_BASE"
+pairs() {
+  local role="$1" workload="$2" i
+  for ((i = 0; i < $3; i++)); do
+    if ((i % 2 == 0)); then
+      run "$role" parent "$workload" "$seed"
+      run "$role" change "$workload" "$seed"
+    else
+      run "$role" change "$workload" "$seed"
+      run "$role" parent "$workload" "$seed"
+    fi
+    seed=$((seed + 1))
+  done
+}
+
+pairs claim "$CLAIM_WORKLOAD" "$CLAIM_PAIRS"
+for w in $WORKLOADS; do
+  [ "$w" = "$CLAIM_WORKLOAD" ] || pairs no-regression "$w" "$NOREG_PAIRS"
+done
+if [ "$ARMS" != "parent change" ]; then
+  REVERSED="$(printf '%s\n' $ARMS | tac | tr '\n' ' ')"
+  for ((round = 0; round < ABLATION_ROUNDS; round++)); do
+    order="$ARMS"
+    ((round % 2 == 0)) || order="$REVERSED"
+    for w in $WORKLOADS; do
+      for arm in $order; do run ablation "$arm" "$w" "$seed"; done
+      seed=$((seed + 1))
+    done
+  done
+fi
+for w in $WORKLOADS; do
+  for arm in parent change; do run traced "$arm" "$w" "$seed" 1; done
+  seed=$((seed + 1))
+done
+
+# Per (role, workload, metric, arm): median and quartiles; per paired
+# (role, workload, metric): the change's wins over the parent, counting
+# the direction each end-to-end metric improves in.
+SUMMARY="$(sort -t "$(printf '\t')" -k1,1 -k2,2 -k5,5 -k4,4 -k6,6g "$FLAT" | awk -F '\t' '
+  function q(p,   i) { i = int(p * (n - 1) + 0.5) + 1; return v[i] }
+  function flush() {
+    if (n == 0) return
+    printf "%s    {\"role\": \"%s\", \"workload\": \"%s\", \"metric\": \"%s\", \"arm\": \"%s\", \"runs\": %d, \"q1\": %s, \"median\": %s, \"q3\": %s}",
+      sep, role, wl, metric, arm, n, q(0.25), q(0.5), q(0.75)
+    sep = ",\n"; n = 0
+  }
+  { key = $1 FS $2 FS $5 FS $4
+    if (key != last) { flush(); role = $1; wl = $2; metric = $5; arm = $4; last = key }
+    v[++n] = $6 }
+  END { flush(); printf "\n" }')"
+WINS="$(awk -F '\t' '
+  $1 == "claim" || $1 == "no-regression" { val[$1 FS $2 FS $5 FS $3 FS $4] = $6; keys[$1 FS $2 FS $5] = 1; seeds[$1 FS $2 FS $5 FS $3] = 1 }
+  END {
+    for (k in keys) {
+      split(k, f, FS); up = (f[3] == "ops_per_s")
+      wins = 0; pairs = 0
+      for (s in seeds) {
+        if (index(s, k FS) != 1) continue
+        p = val[s FS "parent"]; c = val[s FS "change"]
+        if (p == "" || c == "") continue
+        pairs++
+        if ((up && c > p) || (!up && c < p)) wins++
+      }
+      printf "%s    {\"role\": \"%s\", \"workload\": \"%s\", \"metric\": \"%s\", \"pairs\": %d, \"change_wins\": %d}", sep, f[1], f[2], f[3], pairs, wins
+      sep = ",\n"
+    }
+    printf "\n"
+  }' "$FLAT")"
+
 {
-  "bench": ${BENCH_ID},
-  "perf_ladder": {
-    "engine_seconds": ${engine_s},
-    "analytic_seconds": ${analytic_s},
-    "analytic_speedup": ${speedup},
-    "bit_identical": ${identical}
-  },
-  "perf_profile": {
-    "flat_replay_seconds": ${flat_s},
-    "profiled_seconds": ${profiled_s},
-    "profile_speedup": ${profile_speedup},
-    "bit_identical": ${profile_identical}
-  },
-  "sweep_profile": {
-    "profiled_wall_seconds": ${prof_wall},
-    "no_profile_wall_seconds": ${flat_wall},
-    "profiled_speedup": ${sweep_speedup},
-    "frontier_identical": ${frontier_identical}
-  },
-  "sweep_zoo": ${SWEEP_SUMMARY},
-  "sweep_zoo_no_profile": ${FLAT_SUMMARY}
-}
-JSON
-rm -rf "$PERF_LOG" "$SWEEP_DIR"
-
+  printf '{\n  "bench": "%s",\n  "description": "%s",\n  "base": "%s",\n  "arms": "%s",\n' \
+    "$BENCH_ID" "$DESCRIPTION" "$(git rev-parse "$BASE")" "$ARMS"
+  printf '  "host": "%s, nproc %s",\n' "$(uname -m)" "$(nproc)"
+  printf '  "command": "igo-simbench --workload W --seed S --seconds %s --trace T",\n' "$SECONDS_PER_RUN"
+  printf '  "summary": [\n%s  ],\n' "$SUMMARY"
+  printf '  "wins": [\n%s  ],\n' "$WINS"
+  printf '  "runs": [\n'
+  sed '$!s/$/,/; s/^/    /' "$RUNS"
+  printf '  ]\n}\n'
+} >"$OUT"
 echo "bench: wrote ${OUT}"
