@@ -40,6 +40,7 @@ pub mod parallel;
 pub mod partition;
 pub mod partition_select;
 pub mod pipeline;
+pub mod report;
 pub mod report_io;
 pub mod schedule;
 pub mod select;
@@ -65,8 +66,9 @@ pub use pipeline::{
     rearranged_order, simulate_layer_backward, simulate_layer_backward_ex,
     simulate_layer_backward_with, simulate_layer_forward, simulate_layer_forward_ex,
     simulate_layer_forward_with, simulate_model, simulate_model_ladder, simulate_model_with,
-    LayerDecision, LayerOutcome, ModelReport, SimOptions, TrainingPhase,
+    LayerDecision, SimOptions, TrainingPhase,
 };
+pub use report::{LayerOutcome, ModelReport};
 pub use report_io::{
     chrome_trace_json, dy_reuse_csv, dy_tiles_csv, ladder_csv, layers_csv, trace_metrics_csv,
     write_chrome_trace, LadderMismatch, TraceArtifacts, TraceExport, DEFAULT_REUSE_POINTS,

@@ -175,6 +175,32 @@ pub struct PartitionPlan {
     pub reduction: Option<StreamOp>,
 }
 
+/// Tensor ids of a layer planned without a [`Schedule`]: the id sequence
+/// [`LayerTensors::register`] produces on a fresh schedule, so streams
+/// emitted from a plan match the materialised schedules (ids feed the
+/// replacement tie-break).
+pub(crate) fn fast_layer_tensors() -> LayerTensors {
+    LayerTensors {
+        x: TensorId::from_raw(0),
+        w: TensorId::from_raw(1),
+        y: TensorId::from_raw(2),
+        dx: TensorId::from_raw(3),
+        dw: TensorId::from_raw(4),
+        dy: TensorId::from_raw(5),
+    }
+}
+
+/// Fresh tensor ids for a partition plan over [`fast_layer_tensors`],
+/// numbered after the layer's own as a schedule's tensor table would.
+pub(crate) fn fresh_ids() -> impl FnMut(TensorClass, String) -> TensorId {
+    let mut next = 6;
+    move |_class, _name| {
+        let id = TensorId::from_raw(next);
+        next += 1;
+        id
+    }
+}
+
 /// Split `gemm` under `scheme` and bind each partition's tensors, minting
 /// fresh ids through `alloc`. Split tensors get fresh per-partition
 /// identities; the shared tensor keeps the parent id (its grid is

@@ -1,59 +1,60 @@
 //! End-to-end training-step simulation.
 //!
-//! Glues together the schedule builders, Algorithm 1, the partitioning
-//! schemes, and the NPU simulator into the experiment the paper runs:
-//! *simulate the forward and backward passes of a model under a technique
-//! and report cycles and traffic* (§6.1: "our focus is primarily on the
-//! forward pass and backward pass stages").
+//! Glues the schedule builders, Algorithm 1, the partitioning schemes and
+//! the NPU simulator into the experiment the paper runs: *simulate the
+//! forward and backward passes of a model under a technique and report
+//! cycles and traffic* (§6.1). Distinct layer shapes are simulated once and
+//! multiplied by their instance count (and convolution group count); this is
+//! exact, since identical layers are bit-identical under this machine model.
+//! Every entry point is a thin call into one evaluator, `evaluate`:
 //!
-//! Distinct layer shapes are simulated once and multiplied by their
-//! instance count (and convolution group count) — repeated identical
-//! layers are bit-identical under this machine model, so this is exact,
-//! not an approximation.
+//! * **one enumerator**, `candidates`, lists a layer's
+//!   capacity-independent backward candidates (the Algorithm-1 orders of
+//!   §4.3 and the §5 partition schemes) in the fixed order whose index
+//!   breaks cycle ties; the forward pass is a one-candidate list;
+//! * **one rung evaluator** answers a slice of SPM rungs, a single config
+//!   being a one-rung ladder. Its analytic back end emits a candidate once
+//!   per group of rungs with equal emission signatures and replays it at each
+//!   ([`AnalyticCollector::replay_bounded`], bit-identical to the engine);
+//!   its oracle back end, the cycle [`Engine`] behind
+//!   [`SimOptions::sequential`], materialises the same candidate as
+//!   [`Schedule`]s;
+//! * **one selection loop** keeps per rung the lexicographic minimum of
+//!   `(cycles, candidate index)`: the first candidate with the strictly
+//!   smallest cycle count.
 //!
-//! # Performance architecture
-//!
-//! The simulate-and-select loops are the sweeps' hot path, and three
-//! composable optimizations keep them fast without changing a single
-//! reported number (see `tests/golden_determinism.rs`):
-//!
-//! * **parallelism** ([`SimOptions::parallel`]) — candidate schedules and
-//!   independent model layers are evaluated on a scoped worker pool
-//!   ([`crate::parallel`]); the reduction picks the lexicographic minimum
-//!   of `(cycles, candidate index)`, which equals the sequential rule
-//!   "first candidate with the strictly smallest cycle count" regardless
-//!   of completion order;
-//! * **memoization** ([`SimOptions::memoize`]) — layer results are cached
-//!   process-wide keyed by GEMM shape, density bits, config fingerprint
-//!   and technique ([`crate::simcache`]);
-//! * **pruning** ([`SimOptions::prune`]) — each candidate gets an
-//!   analytical makespan lower bound ([`Engine::lower_bound`]); the
-//!   candidate with the smallest bound is simulated fully and every
-//!   candidate whose bound *strictly* exceeds that reference's cycles is
-//!   skipped, which cannot change the winner because a pruned candidate's
-//!   true cycle count is at least its bound.
+//! The [`SimOptions`] toggles trade wall-clock time and never change a
+//! reported number (see `tests/golden_determinism.rs`). *Pruning* visits
+//! candidates in ascending `(bound, index)` order under the closed-form
+//! admissible bounds of [`crate::bound`], skips a candidate at a rung where
+//! its bound exceeds the running best, and aborts replays that provably
+//! exceed it: such a candidate's cycles strictly exceed the running best,
+//! so it would lose even the index tie-break. *Memoization* serves layer
+//! results from the process-wide [`crate::simcache`]; a ladder also shares
+//! raw replays across SPM sizes through its capacity-oblivious profile
+//! memo. *Parallelism* fans a model's layers out over [`crate::parallel`].
 
 use crate::bound::{multicore_candidate_bound, plain_candidate_bound, sequential_candidate_bound};
 use crate::parallel::parallel_map_workers;
 use crate::partition::{
-    partition_backward_ex, partition_forward_ex, plan_partition_backward, plan_partition_forward,
-    PartitionPlan, PartitionScheme,
+    fast_layer_tensors, fresh_ids, partition_backward_ex, partition_forward_ex,
+    plan_partition_backward, plan_partition_forward, PartitionPlan, PartitionScheme,
 };
+use crate::report::{LayerOutcome, ModelReport};
 use crate::schedule::{
     forward_emission_signature, forward_schedule, BackwardBuilder, BackwardOrder, EmissionSig,
     LayerTensors,
 };
 use crate::select::select_order;
-use crate::simcache;
-use crate::simcache::{ConfigFingerprint, ProfilePass};
+use crate::simcache::{self, ConfigFingerprint, ProfilePass};
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    reduction_cycles, replay_multicore, replay_sequential_partitions, run_multicore,
-    run_sequential_partitions, sequential_combined, AnalyticCollector, AnalyticScratch, Engine,
-    EngineScratch, MultiCoreReport, NpuConfig, Schedule, SimReport, StreamOp, TensorId, Traffic,
+    reduction_cycles, replay_multicore, run_multicore, run_sequential_partitions,
+    sequential_combined, AnalyticCollector, AnalyticScratch, Engine, EngineScratch,
+    MultiCoreReport, NpuConfig, Schedule, SimReport, StreamOp,
 };
-use igo_tensor::{GemmShape, TensorClass};
+use igo_tensor::GemmShape;
 use igo_workloads::{Layer, Model};
 
 /// Which pass of training a report concerns.
@@ -72,29 +73,22 @@ pub enum TrainingPhase {
 /// compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Evaluate candidate schedules and model layers on a worker pool.
+    /// Evaluate a model's layers on a worker pool.
     pub parallel: bool,
     /// Serve repeated layer simulations from the process-wide memo cache.
     pub memoize: bool,
-    /// Skip candidates whose analytical lower bound proves them dominated.
+    /// Visit candidates in ascending closed-form bound order, skipping or
+    /// aborting those the running best proves dominated.
     pub prune: bool,
     /// Worker-pool size; `0` means one worker per hardware thread (or the
     /// `IGO_SIM_THREADS` override). Only meaningful when `parallel` is set
     /// (tests force a pool larger than the machine to exercise
     /// cross-thread determinism).
     pub workers: usize,
-    /// Evaluate layers through the analytic engine: candidate streams are
-    /// replayed allocation-free ([`AnalyticCollector::replay`], provably
-    /// bit-identical to [`Engine::run`]) and pruning uses the closed-form
-    /// bounds of [`crate::bound`] instead of per-schedule scans.
+    /// Evaluate candidates by analytic replay instead of materialising
+    /// [`Schedule`]s for the cycle engine. Only the analytic back end
+    /// groups the rungs of an SPM ladder onto shared emissions.
     pub analytic_fast_path: bool,
-    /// Evaluate SPM-capacity ladders rung-grouped: each candidate is
-    /// emitted once per distinct blocking signature and replayed at every
-    /// rung sharing it, and exact per-candidate results are memoized keyed
-    /// *without* the SPM size. Off, every ladder rung is simulated as its
-    /// own grid point. Only affects [`simulate_model_ladder`]; requires
-    /// `analytic_fast_path`.
-    pub ladder: bool,
 }
 
 impl SimOptions {
@@ -106,7 +100,6 @@ impl SimOptions {
             prune: true,
             workers: 0,
             analytic_fast_path: true,
-            ladder: true,
         }
     }
 
@@ -119,7 +112,6 @@ impl SimOptions {
             prune: false,
             workers: 0,
             analytic_fast_path: false,
-            ladder: false,
         }
     }
 }
@@ -148,19 +140,6 @@ pub fn rearranged_order(gemm: GemmShape, config: &NpuConfig) -> BackwardOrder {
     }
 }
 
-/// The per-partition count used by single-core data partitioning
-/// candidates (§5: partitions are "processed one partition at a time on a
-/// single-core NPU").
-const SINGLE_CORE_PART_CANDIDATES: [u64; 2] = [2, 4];
-
-fn dedup_orders(orders: [BackwardOrder; 2]) -> Vec<BackwardOrder> {
-    if orders[0] == orders[1] {
-        vec![orders[0]]
-    } else {
-        orders.to_vec()
-    }
-}
-
 /// What the scheduler decided for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerDecision {
@@ -170,164 +149,247 @@ pub struct LayerDecision {
     pub partition: Option<(PartitionScheme, u64)>,
 }
 
-/// One fully built way to execute a layer's backward pass, ready to bound
-/// or simulate.
-struct Candidate {
+/// How a candidate lays its layer out.
+enum Kind {
+    /// The whole layer as one stream on a single core.
+    Plain,
+    /// The layer split under `scheme` into `parts` requested partitions
+    /// (`plan` may realise fewer on small layers): chained back-to-back on
+    /// a single core, one partition per core otherwise.
+    Partitioned {
+        scheme: PartitionScheme,
+        parts: u64,
+        plan: PartitionPlan,
+    },
+}
+
+/// The decision slot of the forward pass, which takes no decision; the
+/// value is never reported.
+const FORWARD_DECISION: LayerDecision = LayerDecision {
+    order: BackwardOrder::Baseline,
+    partition: None,
+};
+
+/// One capacity-independent way to execute a layer pass.
+struct Choice {
     decision: LayerDecision,
-    exec: CandidateExec,
+    kind: Kind,
 }
 
-enum CandidateExec {
-    /// One schedule on one core.
-    Single(Schedule),
-    /// Partition segments chained on a single core, then a reduction.
-    Sequential {
-        segments: Vec<Schedule>,
-        reduction: Option<StreamOp>,
-    },
-    /// One schedule per core, then a reduction.
-    Multicore {
-        per_core: Vec<Schedule>,
-        reduction: Option<StreamOp>,
-    },
-}
-
-impl Candidate {
-    /// Analytical makespan lower bound; never exceeds [`Candidate::run`]'s
-    /// cycles (see [`Engine::lower_bound`]).
-    fn lower_bound(&self, config: &NpuConfig) -> u64 {
-        let engine = Engine::new(config);
-        match &self.exec {
-            CandidateExec::Single(s) => engine.lower_bound(s),
-            CandidateExec::Sequential {
-                segments,
-                reduction,
-            } => engine.lower_bound_concat(segments) + reduction_cycles(config, *reduction),
-            CandidateExec::Multicore {
-                per_core,
-                reduction,
-            } => {
-                let slowest = per_core
-                    .iter()
-                    .map(|s| engine.lower_bound(s))
-                    .max()
-                    .unwrap_or(0);
-                slowest + reduction_cycles(config, *reduction)
-            }
-        }
-    }
-
-    fn run(&self, config: &NpuConfig, scratch: &mut EngineScratch) -> SimReport {
-        match &self.exec {
-            CandidateExec::Single(s) => Engine::new(config).run_with_scratch(s, scratch),
-            CandidateExec::Sequential {
-                segments,
-                reduction,
-            } => run_sequential_partitions(config, segments, *reduction, scratch).combined(),
-            CandidateExec::Multicore {
-                per_core,
-                reduction,
-            } => run_multicore(config, per_core, *reduction, scratch).combined(),
-        }
-    }
-}
-
-/// Evaluate `candidates` under `options` and return the winner: the first
-/// candidate (in construction order) with the strictly smallest cycle
-/// count — i.e. the lexicographic minimum of `(cycles, index)`.
-fn select_best(
-    candidates: &[Candidate],
+/// The backward candidates of one layer under `technique`, in the fixed
+/// order whose index breaks cycle ties. On a single core, data
+/// partitioning keeps the unpartitioned Algorithm-1 and baseline orders
+/// (partitioning is optional there) and splits 2 or 4 ways; on a
+/// multi-core NPU every candidate is split across the cores, an
+/// unpartitioned decision running as conventional batch (weight-sharing)
+/// data parallelism.
+fn candidates(
+    gemm: GemmShape,
+    density: f64,
+    technique: Technique,
+    is_first: bool,
     config: &NpuConfig,
-    options: &SimOptions,
-) -> (SimReport, LayerDecision) {
-    assert!(!candidates.is_empty(), "no candidates to select from");
-    let mut evaluated: Vec<(usize, SimReport)> = Vec::with_capacity(candidates.len());
-    let to_run: Vec<usize> = if options.prune {
-        let bounds: Vec<u64> = candidates.iter().map(|c| c.lower_bound(config)).collect();
-        let ref_idx = (0..candidates.len())
-            .min_by_key(|&i| (bounds[i], i))
-            .expect("non-empty");
-        let reference = candidates[ref_idx].run(config, &mut EngineScratch::new());
-        let cutoff = reference.cycles;
-        evaluated.push((ref_idx, reference));
-        // Strict comparison: a candidate with `bound == cutoff` could still
-        // tie the reference and win on index, so only `bound > cutoff` is
-        // provably dominated.
-        (0..candidates.len())
-            .filter(|&i| i != ref_idx && bounds[i] <= cutoff)
-            .collect()
-    } else {
-        (0..candidates.len()).collect()
+) -> Vec<Choice> {
+    use BackwardOrder::{Baseline, DwMajor, DxMajor, Interleaved};
+    let dtype = TilePolicy::for_config(config).dtype;
+    let cores = config.cores as u64;
+    let split = |order, scheme, parts| {
+        let (ids, tensors) = (&mut fresh_ids(), fast_layer_tensors());
+        let plan =
+            plan_partition_backward(ids, tensors, gemm, density, dtype, scheme, parts, is_first);
+        let partition = Some((scheme, plan.sub_gemms.len() as u64));
+        Choice {
+            decision: LayerDecision { order, partition },
+            kind: Kind::Partitioned {
+                scheme,
+                parts,
+                plan,
+            },
+        }
     };
-    let runs: Vec<SimReport> = if options.parallel {
-        parallel_map_workers(
-            &to_run,
-            options.workers,
-            EngineScratch::new,
-            |scratch, &i| candidates[i].run(config, scratch),
+    let plain = |order| {
+        let kind = match cores {
+            1 => Kind::Plain,
+            _ => split(order, PartitionScheme::WeightSharing, cores).kind,
+        };
+        let decision = LayerDecision {
+            order,
+            partition: None,
+        };
+        Choice { decision, kind }
+    };
+    let orders = |g: GemmShape| {
+        let mut orders = vec![BackwardOrder::from(select_order(g)), Baseline];
+        orders.dedup();
+        orders
+    };
+    match technique {
+        Technique::Baseline => vec![plain(Baseline)],
+        Technique::IdealDyReuse => vec![plain(BackwardOrder::IdealDyReuse)],
+        Technique::Interleaving => vec![plain(Interleaved)],
+        Technique::Rearrangement => vec![plain(rearranged_order(gemm, config))],
+        Technique::RearrangementOracle => [Interleaved, DxMajor, DwMajor].map(plain).into(),
+        Technique::DataPartitioning => {
+            // §5: a single core processes the partitions one at a time.
+            let (mut out, part_counts): (Vec<Choice>, &[u64]) = match cores {
+                1 => (orders(gemm).into_iter().map(plain).collect(), &[2, 4]),
+                _ => (Vec::new(), std::slice::from_ref(&cores)),
+            };
+            for scheme in PartitionScheme::ALL {
+                for &parts in part_counts {
+                    for order in orders(gemm.split(scheme.split_dim(), parts)[0]) {
+                        out.push(split(order, scheme, parts));
+                    }
+                }
+            }
+            out
+        }
+    }
+}
+
+/// The forward pass as a one-candidate list: one stream on a single core,
+/// the batch split across the cores (`W` shared) otherwise.
+fn forward_candidate(gemm: GemmShape, config: &NpuConfig) -> Choice {
+    let (parts, scheme) = (config.cores as u64, PartitionScheme::WeightSharing);
+    let split = |(sub_gemms, part_tensors)| Kind::Partitioned {
+        scheme,
+        parts,
+        plan: PartitionPlan {
+            sub_gemms,
+            part_tensors,
+            reduction: None,
+        },
+    };
+    let kind = match parts {
+        1 => Kind::Plain,
+        _ => split(plan_partition_forward(
+            &mut fresh_ids(),
+            fast_layer_tensors(),
+            gemm,
+            parts,
+        )),
+    };
+    let decision = FORWARD_DECISION;
+    Choice { decision, kind }
+}
+
+/// Which pass an evaluation answers.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    Forward,
+    Backward(Technique),
+}
+
+/// One layer pass to evaluate.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    gemm: GemmShape,
+    density: f64,
+    is_first: bool,
+    pass: Pass,
+}
+
+impl Point {
+    fn new(gemm: GemmShape, density: f64, is_first: bool, pass: Pass) -> Self {
+        Self {
+            gemm,
+            density,
+            is_first,
+            pass,
+        }
+    }
+
+    /// Emit `order`'s stream of one builder (the forward nest ignores it).
+    fn emit(&self, order: BackwardOrder, b: &BackwardBuilder, c: &mut AnalyticCollector) {
+        match self.pass {
+            Pass::Forward => forward_schedule(b.gemm(), b.policy(), b.tensors(), self.density, c),
+            Pass::Backward(_) => b.emit(order, self.is_first, c),
+        }
+    }
+
+    /// The capacity-dependent part of [`Point::emit`]'s stream.
+    fn signature(&self, order: BackwardOrder, b: &BackwardBuilder) -> EmissionSig {
+        match self.pass {
+            Pass::Forward => forward_emission_signature(b.gemm(), b.policy()),
+            Pass::Backward(_) => b.emission_signature(order, self.is_first),
+        }
+    }
+}
+
+impl Choice {
+    fn reduction(&self) -> Option<StreamOp> {
+        match &self.kind {
+            Kind::Plain => None,
+            Kind::Partitioned { plan, .. } => plan.reduction,
+        }
+    }
+
+    /// One builder per stream, tiled by `policy`.
+    fn builders(&self, p: &Point, policy: TilePolicy) -> Vec<BackwardBuilder> {
+        let build = |g, t| BackwardBuilder::new(g, policy, t).with_ifmap_density(p.density);
+        match &self.kind {
+            Kind::Plain => vec![build(p.gemm, fast_layer_tensors())],
+            Kind::Partitioned { plan, .. } => (plan.sub_gemms.iter().zip(&plan.part_tensors))
+                .map(|(&g, &t)| build(g, t))
+                .collect(),
+        }
+    }
+
+    /// Closed-form admissible bound on this backward candidate's cycles on
+    /// `config` ([`crate::bound`]).
+    fn bound(&self, p: &Point, config: &NpuConfig, engine: &Engine) -> u64 {
+        let (order, policy) = (self.decision.order, TilePolicy::for_config(config));
+        let Kind::Partitioned { scheme, parts, .. } = self.kind else {
+            return plain_candidate_bound(&self.builders(p, policy)[0], order, p.is_first, engine);
+        };
+        let bound = match config.cores {
+            1 => sequential_candidate_bound,
+            _ => multicore_candidate_bound,
+        };
+        let (t, gemm, density) = (fast_layer_tensors(), p.gemm, p.density);
+        bound(
+            config, engine, t, gemm, density, policy, scheme, parts, order, p.is_first,
         )
-    } else {
-        let mut scratch = EngineScratch::new();
-        to_run
-            .iter()
-            .map(|&i| candidates[i].run(config, &mut scratch))
-            .collect()
-    };
-    evaluated.extend(to_run.into_iter().zip(runs));
-    let (best_idx, best) = evaluated
-        .into_iter()
-        .min_by_key(|&(i, r)| (r.cycles, i))
-        .expect("at least the reference was evaluated");
-    (best, candidates[best_idx].decision)
-}
+    }
 
-// ---------------------------------------------------------------------------
-// Analytic fast path
-// ---------------------------------------------------------------------------
-
-/// Tensor ids for a fast-path layer. Matches the id sequence
-/// [`LayerTensors::register`] would produce on a fresh schedule, so replayed
-/// streams are structurally identical to the engine path's (tensor ids feed
-/// the replacement tie-break).
-pub(crate) fn fast_layer_tensors() -> LayerTensors {
-    LayerTensors {
-        x: TensorId::from_raw(0),
-        w: TensorId::from_raw(1),
-        y: TensorId::from_raw(2),
-        dx: TensorId::from_raw(3),
-        dw: TensorId::from_raw(4),
-        dy: TensorId::from_raw(5),
+    /// Identity of this candidate's raw stream in the capacity-oblivious
+    /// profile memo.
+    fn profile_pass(&self, p: &Point) -> ProfilePass {
+        let (order, is_first) = (self.decision.order, p.is_first);
+        match (p.pass, &self.kind) {
+            (Pass::Forward, _) => ProfilePass::Forward,
+            (_, Kind::Plain) => ProfilePass::Plain { order, is_first },
+            (_, Kind::Partitioned { scheme, plan, .. }) => ProfilePass::Partition {
+                scheme: *scheme,
+                parts: plan.sub_gemms.len() as u64,
+                order,
+                is_first,
+            },
+        }
     }
 }
 
-/// Fresh tensor ids for a partition plan over [`fast_layer_tensors`],
-/// numbered after the layer's own as a schedule's tensor table would.
-pub(crate) fn fresh_ids() -> impl FnMut(TensorClass, String) -> TensorId {
-    let mut next = 6;
-    move |_class, _name| {
-        let id = TensorId::from_raw(next);
-        next += 1;
-        id
-    }
-}
-
-/// Reusable per-worker state for fast-path candidate evaluation.
+/// Reusable per-thread evaluation state.
 #[derive(Default)]
-pub(crate) struct FastScratch {
+pub(crate) struct EvalScratch {
     collectors: Vec<AnalyticCollector>,
     replay: AnalyticScratch,
+    engine: EngineScratch,
+}
+
+thread_local! {
+    /// Per-thread working memory, reused across layers and candidates so
+    /// collector, replay and engine buffers are allocated once per thread.
+    static SCRATCH: std::cell::RefCell<EvalScratch> = Default::default();
 }
 
 /// The first `n` collectors of `pool`, cleared, growing the pool on demand.
 fn cleared_collectors(pool: &mut Vec<AnalyticCollector>, n: usize) -> &mut [AnalyticCollector] {
-    while pool.len() < n {
-        pool.push(AnalyticCollector::new());
+    if pool.len() < n {
+        pool.resize_with(n, AnalyticCollector::new);
     }
-    let slice = &mut pool[..n];
-    for c in slice.iter_mut() {
-        c.clear();
-    }
-    slice
+    pool[..n].iter_mut().for_each(AnalyticCollector::clear);
+    &mut pool[..n]
 }
 
 /// Emit and replay one multi-core step. `plan_partition_*` gives every
@@ -341,7 +403,7 @@ pub(crate) fn replay_cores(
     emit: impl Fn(&BackwardBuilder, &mut AnalyticCollector),
     reduction: Option<StreamOp>,
     cutoff: Option<u64>,
-    s: &mut FastScratch,
+    s: &mut EvalScratch,
 ) -> Option<MultiCoreReport> {
     let mut leads: Vec<&BackwardBuilder> = Vec::with_capacity(builders.len());
     let stream_of: Vec<usize> = builders
@@ -365,149 +427,294 @@ pub(crate) fn replay_cores(
     replay_multicore(config, &per_core, reduction, &mut s.replay, cutoff)
 }
 
-/// A backward candidate held as unemitted builders plus a precomputed
-/// closed-form bound. `run` emits into [`AnalyticCollector`]s and replays —
-/// bit-identical to running the equivalent [`Candidate`] through the engine,
-/// without materializing any [`Schedule`].
-struct FastCandidate {
-    decision: LayerDecision,
-    /// Closed-form admissible bound on `run(..).cycles`
-    /// (see [`crate::bound`]).
-    bound: u64,
-    exec: FastExec,
-}
-
-enum FastExec {
-    /// One emission stream on one core.
-    Single(Box<BackwardBuilder>),
-    /// Partition streams chained back-to-back (no barrier) on a single
-    /// core, then a reduction.
-    Sequential {
-        builders: Vec<BackwardBuilder>,
-        reduction: Option<StreamOp>,
-    },
-    /// One emission stream per core, then a reduction.
-    Multicore {
-        builders: Vec<BackwardBuilder>,
-        reduction: Option<StreamOp>,
-    },
-}
-
-thread_local! {
-    /// Per-thread fast-path working memory, reused across layers and
-    /// candidate evaluations so the collector and replay buffers are
-    /// allocated once per thread instead of regrown per layer.
-    static FAST_SCRATCH: std::cell::RefCell<FastScratch> =
-        std::cell::RefCell::new(FastScratch::default());
-}
-
-/// Run `f` with this thread's reusable [`FastScratch`].
-fn with_fast_scratch<R>(f: impl FnOnce(&mut FastScratch) -> R) -> R {
-    FAST_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-impl FastCandidate {
-    /// Emit and replay this candidate. With a `cutoff`, returns `None` as
-    /// soon as the replay proves the candidate must exceed `cutoff` cycles
-    /// (see [`AnalyticCollector::replay_bounded`]); a completed run is
-    /// bit-identical to the equivalent engine-path [`Candidate::run`].
-    fn run_bounded(
-        &self,
-        engine: &Engine,
-        config: &NpuConfig,
-        is_first: bool,
-        cutoff: Option<u64>,
-        s: &mut FastScratch,
-    ) -> Option<SimReport> {
-        let order = self.decision.order;
-        match &self.exec {
-            FastExec::Single(builder) => {
-                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
-                builder.register_grids(c);
-                builder.emit(order, is_first, c);
-                c.replay_bounded(engine, &mut s.replay, cutoff)
-                    .map(|r| r.report)
+/// Analytic back end: replay `cand` at each `(rung, cutoff)` of `reps`,
+/// passing every completed replay to `done(rung, raw, combined)`. On a
+/// single core, rungs whose emission signatures coincide share one
+/// emission (partition segments concatenate with no barrier, as
+/// `Schedule::append_compatible` chains them) and `raw` is the
+/// pre-reduction report the profile memo keeps; multi-core steps go
+/// through [`replay_cores`].
+fn replay_candidate(
+    cand: &Choice,
+    p: &Point,
+    rungs: &Rungs,
+    reps: &[(usize, Option<u64>)],
+    s: &mut EvalScratch,
+    mut done: impl FnMut(usize, Option<SimReport>, SimReport),
+) {
+    let (order, reduction) = (cand.decision.order, cand.reduction());
+    let emit = |b: &BackwardBuilder, c: &mut AnalyticCollector| p.emit(order, b, c);
+    let policy = |r: usize| TilePolicy::for_config(&rungs.configs[r]);
+    if rungs.configs[0].cores > 1 {
+        for &(r, cutoff) in reps {
+            let builders = cand.builders(p, policy(r));
+            let step = replay_cores(&rungs.configs[r], &builders, emit, reduction, cutoff, s);
+            if let Some(step) = step {
+                done(r, None, step.combined());
             }
-            FastExec::Sequential {
-                builders,
-                reduction,
-            } => {
-                // One collector: segments concatenate with no barrier,
-                // mirroring `Schedule::append_compatible`.
-                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
-                for b in builders {
-                    b.register_grids(c);
-                }
-                for b in builders {
-                    b.emit(order, is_first, c);
-                }
-                replay_sequential_partitions(config, c, *reduction, &mut s.replay, cutoff)
-                    .map(|r| r.combined())
+        }
+        return;
+    }
+    let mut groups: Vec<(Vec<EmissionSig>, Vec<BackwardBuilder>, Vec<usize>)> = Vec::new();
+    for (i, &(r, _)) in reps.iter().enumerate() {
+        let builders = cand.builders(p, policy(r));
+        let sig: Vec<EmissionSig> = builders.iter().map(|b| p.signature(order, b)).collect();
+        match groups.iter_mut().find(|(g, ..)| *g == sig) {
+            Some((.., members)) => members.push(i),
+            None => groups.push((sig, builders, vec![i])),
+        }
+    }
+    for (_, builders, members) in &groups {
+        let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
+        builders.iter().for_each(|b| b.register_grids(c));
+        builders.iter().for_each(|b| emit(b, c));
+        for &i in members {
+            let (r, cutoff) = reps[i];
+            let config = &rungs.configs[r];
+            // The selection loop only hands out cutoffs covering the reduction.
+            let inner = cutoff.map(|c| c - reduction_cycles(config, reduction));
+            if let Some(raw) = c.replay_bounded(&rungs.engines[r], &mut s.replay, inner) {
+                let combined = sequential_combined(config, raw.report, reduction);
+                done(r, Some(raw.report), combined);
             }
-            FastExec::Multicore {
-                builders,
-                reduction,
-            } => replay_cores(
-                config,
-                builders,
-                |b, c| b.emit(order, is_first, c),
-                *reduction,
-                cutoff,
-                s,
-            )
-            .map(|r| r.combined()),
         }
     }
 }
 
-/// [`select_best`] over fast-path candidates: the same lexicographic
-/// `(cycles, index)` winner, reached with strictly less work. Candidates
-/// are evaluated in ascending `(bound, index)` order against a running
-/// best: any candidate whose closed-form bound exceeds the best cycles so
-/// far is skipped outright (its true cycles can only be larger), and the
-/// rest replay under a cutoff that aborts them mid-stream once they
-/// provably exceed the running best. Neither rule can change the winner —
-/// a skipped or aborted candidate's true cycle count *strictly* exceeds
-/// the running best, so it loses even the index tie-break — and the
-/// running best can only tighten the engine path's static
-/// reference-cutoff rule, never loosen it.
-fn select_best_fast(
-    candidates: &[FastCandidate],
+/// The schedules a backward decision executes on `config`, plus the
+/// cross-partition reduction: one per core on a multi-core NPU (an
+/// unpartitioned decision there is the weight-sharing batch split), else
+/// one schedule, single-core partition segments concatenated as the engine
+/// chains them. Schedules and tensors are named after `name`.
+pub(crate) fn decision_schedules(
+    gemm: GemmShape,
+    density: f64,
     config: &NpuConfig,
+    decision: LayerDecision,
     is_first: bool,
-    options: &SimOptions,
-) -> (SimReport, LayerDecision) {
-    assert!(!candidates.is_empty(), "no candidates to select from");
-    let engine = Engine::new(config);
-    let mut eval_order: Vec<usize> = (0..candidates.len()).collect();
-    if options.prune {
-        eval_order.sort_by_key(|&i| (candidates[i].bound, i));
+    name: &str,
+) -> (Vec<Schedule>, Option<StreamOp>) {
+    let policy = TilePolicy::for_config(config);
+    let mut proto = Schedule::new(name);
+    let tensors = LayerTensors::register(&mut proto, name);
+    let (scheme, parts) = match decision.partition {
+        Some(partition) => partition,
+        None if config.cores > 1 => (PartitionScheme::WeightSharing, config.cores as u64),
+        None => {
+            let mut s = proto.fork(name);
+            BackwardBuilder::new(gemm, policy, tensors)
+                .with_ifmap_density(density)
+                .emit(decision.order, is_first, &mut s);
+            return (vec![s], None);
+        }
+    };
+    let order = decision.order;
+    let p = partition_backward_ex(
+        &proto, tensors, gemm, density, policy, scheme, parts, order, is_first,
+    );
+    let mut segments = p.schedules.into_iter();
+    if config.cores > 1 {
+        return (segments.collect(), p.reduction);
     }
-    with_fast_scratch(|s| {
-        let mut best: Option<(usize, SimReport)> = None;
-        for &i in &eval_order {
-            let cutoff = match &best {
-                Some((_, b)) if options.prune => {
-                    if candidates[i].bound > b.cycles {
-                        continue;
-                    }
-                    Some(b.cycles)
-                }
-                _ => None,
+    let mut chained = segments.next().expect("a partition has segments");
+    segments.for_each(|s| chained.append_compatible(&s));
+    (vec![chained], p.reduction)
+}
+
+/// Engine back end: materialise `cand` as schedules and run them on
+/// `config` with the cycle engine.
+fn run_candidate(cand: &Choice, p: &Point, config: &NpuConfig, s: &mut EngineScratch) -> SimReport {
+    let (schedules, reduction) = match (p.pass, &cand.kind) {
+        (Pass::Forward, _) => {
+            let policy = TilePolicy::for_config(config);
+            let mut proto = Schedule::new("fwd");
+            let tensors = LayerTensors::register(&mut proto, "l");
+            let (gemm, density, cores) = (p.gemm, p.density, config.cores as u64);
+            let schedules = if cores == 1 {
+                let mut s = proto.fork("fwd");
+                forward_schedule(gemm, policy, tensors, density, &mut s);
+                vec![s]
+            } else {
+                partition_forward_ex(&proto, tensors, gemm, density, policy, cores)
             };
-            if let Some(r) = candidates[i].run_bounded(&engine, config, is_first, cutoff, s) {
-                let wins = match &best {
-                    None => true,
-                    Some((bi, b)) => (r.cycles, i) < (b.cycles, *bi),
-                };
-                if wins {
-                    best = Some((i, r));
+            (schedules, None)
+        }
+        // Partitions are rebuilt from the requested part count, as the
+        // candidate's plan was.
+        (Pass::Backward(_), Kind::Plain) => {
+            decision_schedules(p.gemm, p.density, config, cand.decision, p.is_first, "l")
+        }
+        (Pass::Backward(_), &Kind::Partitioned { scheme, parts, .. }) => {
+            let partition = Some((scheme, parts));
+            let decision = LayerDecision {
+                partition,
+                ..cand.decision
+            };
+            decision_schedules(p.gemm, p.density, config, decision, p.is_first, "l")
+        }
+    };
+    match config.cores {
+        1 => run_sequential_partitions(config, &schedules, reduction, s),
+        _ => run_multicore(config, &schedules, reduction, s),
+    }
+    .combined()
+}
+
+/// The SPM rungs one evaluation answers: a single config, or a capacity
+/// ladder of single-core configs identical except for their strictly
+/// ascending SPM capacities.
+struct Rungs<'a> {
+    configs: &'a [NpuConfig],
+    engines: Vec<Engine>,
+}
+
+impl<'a> Rungs<'a> {
+    fn single(config: &'a NpuConfig) -> Self {
+        let configs = std::slice::from_ref(config);
+        let engines = vec![Engine::new(config)];
+        Self { configs, engines }
+    }
+
+    /// `configs` as a capacity ladder, or `None` (callers simulate per
+    /// config) unless there are at least two configs, the analytic back
+    /// end is on, all configs are single-core and equal up to SPM size,
+    /// and both the SPM sizes and the derived residency capacities are
+    /// strictly ascending.
+    fn ladder(configs: &'a [NpuConfig], options: &SimOptions) -> Option<Self> {
+        let fp = |c: &NpuConfig| ConfigFingerprint::sans_spm(c);
+        let engines: Vec<Engine> = configs.iter().map(Engine::new).collect();
+        let valid = configs.len() >= 2
+            && options.analytic_fast_path
+            && configs
+                .iter()
+                .all(|c| c.cores == 1 && fp(c) == fp(&configs[0]))
+            && configs.windows(2).all(|w| w[0].spm_bytes < w[1].spm_bytes)
+            && (engines.windows(2)).all(|w| w[0].residency_bytes() < w[1].residency_bytes());
+        valid.then_some(Self { configs, engines })
+    }
+}
+
+fn update_best(best: &mut Option<(usize, SimReport)>, ci: usize, rep: SimReport) {
+    if best.is_none_or(|(bi, b)| (rep.cycles, ci) < (b.cycles, bi)) {
+        *best = Some((ci, rep));
+    }
+}
+
+/// One layer pass at every rung: per rung, the report and decision of the
+/// lexicographic `(cycles, candidate index)` winner, bit-identical to
+/// evaluating the rung on its own.
+fn evaluate(p: &Point, rungs: &Rungs, options: &SimOptions) -> Vec<(SimReport, LayerDecision)> {
+    let (gemm, density, is_first) = (p.gemm, p.density, p.is_first);
+    let configs = rungs.configs;
+    let memo_get = |config| match p.pass {
+        _ if !options.memoize => None,
+        Pass::Forward => {
+            simcache::get_forward(gemm, density, config).map(|r| (r, FORWARD_DECISION))
+        }
+        Pass::Backward(t) => simcache::get_backward(gemm, density, config, t, is_first),
+    };
+    let mut done: Vec<Option<(SimReport, LayerDecision)>> = configs.iter().map(memo_get).collect();
+    let todo: Vec<usize> = (0..configs.len()).filter(|&r| done[r].is_none()).collect();
+    if todo.is_empty() {
+        return done.into_iter().flatten().collect();
+    }
+    let cands = match p.pass {
+        Pass::Forward => vec![forward_candidate(gemm, &configs[0])],
+        Pass::Backward(t) => candidates(gemm, density, t, is_first, &configs[0]),
+    };
+
+    // Per rung, the running best; per candidate, the rungs the profile
+    // memo already answered and the fresh raw replays to add to it.
+    let mut best: Vec<Option<(usize, SimReport)>> = vec![None; configs.len()];
+    let mut known = vec![vec![false; configs.len()]; cands.len()];
+    let mut fresh: Vec<Vec<(u64, SimReport)>> = vec![Vec::new(); cands.len()];
+    let profiled = configs.len() > 1 && options.memoize;
+    for (ci, cand) in cands.iter().enumerate().filter(|_| profiled) {
+        let Some(curve) = simcache::get_profile(gemm, density, &configs[0], cand.profile_pass(p))
+        else {
+            continue;
+        };
+        for &r in &todo {
+            if let Ok(i) = curve.binary_search_by_key(&configs[r].spm_bytes, |&(s, _)| s) {
+                let rep = sequential_combined(&configs[r], curve[i].1, cand.reduction());
+                update_best(&mut best[r], ci, rep);
+                known[ci][r] = true;
+            }
+        }
+    }
+    let known = &known;
+    let open = |ci: usize| todo.iter().copied().filter(move |&r| !known[ci][r]);
+
+    // Visit order: ascending best-case bound over the candidate's open
+    // rungs. Any order selects the same winners; this one tightens the
+    // cutoffs fastest. A lone candidate needs no bound.
+    let prune = options.prune && cands.len() > 1;
+    let bounds: Vec<Vec<u64>> = (cands.iter().filter(|_| prune))
+        .map(|cand| {
+            let bound = |r: usize| cand.bound(p, &configs[r], &rungs.engines[r]);
+            (0..configs.len())
+                .map(|r| if done[r].is_none() { bound(r) } else { 0 })
+                .collect()
+        })
+        .collect();
+    let mut visit: Vec<usize> = (0..cands.len()).collect();
+    if prune {
+        visit.sort_by_key(|&ci| {
+            (
+                open(ci).map(|r| bounds[ci][r]).min().unwrap_or(u64::MAX),
+                ci,
+            )
+        });
+    }
+
+    SCRATCH.with(|s| {
+        let s = &mut *s.borrow_mut();
+        for &ci in &visit {
+            let cand = &cands[ci];
+            // Open rungs with their cutoffs, the running best when pruning;
+            // skip a rung where the bound, or the reduction alone, exceeds it.
+            let reps: Vec<(usize, Option<u64>)> = open(ci)
+                .filter_map(|r| match best[r] {
+                    Some((_, b)) if prune => (bounds[ci][r] <= b.cycles
+                        && reduction_cycles(&configs[r], cand.reduction()) <= b.cycles)
+                        .then_some((r, Some(b.cycles))),
+                    _ => Some((r, None)),
+                })
+                .collect();
+            let mut record = |r: usize, raw: Option<SimReport>, rep: SimReport| {
+                fresh[ci].extend(raw.map(|raw| (configs[r].spm_bytes, raw)));
+                update_best(&mut best[r], ci, rep);
+            };
+            if options.analytic_fast_path {
+                replay_candidate(cand, p, rungs, &reps, s, &mut record);
+            } else {
+                for &(r, _) in &reps {
+                    record(r, None, run_candidate(cand, p, &configs[r], &mut s.engine));
                 }
             }
         }
-        let (best_idx, report) = best.expect("the first evaluation has no cutoff");
-        (report, candidates[best_idx].decision)
-    })
+    });
+
+    for &r in &todo {
+        let (ci, rep) = best[r].expect("the first candidate visited at a rung runs uncut");
+        let (config, decision) = (&configs[r], cands[ci].decision);
+        done[r] = Some((rep, decision));
+        match p.pass {
+            _ if !options.memoize => {}
+            // Forward points the profile memo answered are not copied into
+            // the per-config memo, which would only duplicate them there;
+            // backward winners always go in.
+            Pass::Forward if known[0][r] => {}
+            Pass::Forward => simcache::put_forward(gemm, density, config, rep),
+            Pass::Backward(t) => {
+                simcache::put_backward(gemm, density, config, t, is_first, rep, decision)
+            }
+        }
+    }
+    for (cand, points) in cands.iter().zip(&fresh).filter(|_| profiled) {
+        simcache::put_profile(gemm, density, &configs[0], cand.profile_pass(p), points);
+    }
+    done.into_iter().flatten().collect()
 }
 
 /// Simulate one layer's forward pass on `config` (dense layer: ifmap
@@ -529,58 +736,8 @@ pub fn simulate_layer_forward_with(
     config: &NpuConfig,
     options: &SimOptions,
 ) -> SimReport {
-    if options.memoize {
-        if let Some(hit) = simcache::get_forward(gemm, density, config) {
-            return hit;
-        }
-    }
-    let policy = TilePolicy::for_config(config);
-    let report = if options.analytic_fast_path {
-        let tensors = fast_layer_tensors();
-        let engine = Engine::new(config);
-        with_fast_scratch(|s| {
-            if config.cores == 1 {
-                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
-                BackwardBuilder::new(gemm, policy, tensors).register_grids(c);
-                forward_schedule(gemm, policy, tensors, density, c);
-                c.replay(&engine, &mut s.replay).report
-            } else {
-                let (sub_gemms, part_tensors) =
-                    plan_partition_forward(&mut fresh_ids(), tensors, gemm, config.cores as u64);
-                let builders: Vec<BackwardBuilder> = sub_gemms
-                    .iter()
-                    .zip(&part_tensors)
-                    .map(|(sub, t)| BackwardBuilder::new(*sub, policy, *t))
-                    .collect();
-                replay_cores(
-                    config,
-                    &builders,
-                    |b, c| forward_schedule(b.gemm(), policy, b.tensors(), density, c),
-                    None,
-                    None,
-                    s,
-                )
-                .expect("unbounded replay always completes")
-                .combined()
-            }
-        })
-    } else {
-        let mut proto = Schedule::new("fwd");
-        let tensors = LayerTensors::register(&mut proto, "l");
-        if config.cores == 1 {
-            let mut s = proto.fork("fwd");
-            forward_schedule(gemm, policy, tensors, density, &mut s);
-            Engine::new(config).run(&s)
-        } else {
-            let parts =
-                partition_forward_ex(&proto, tensors, gemm, density, policy, config.cores as u64);
-            run_multicore(config, &parts, None, &mut EngineScratch::new()).combined()
-        }
-    };
-    if options.memoize {
-        simcache::put_forward(gemm, density, config, report);
-    }
-    report
+    let p = Point::new(gemm, density, false, Pass::Forward);
+    evaluate(&p, &Rungs::single(config), options)[0].0
 }
 
 /// Simulate one layer's backward pass on `config` under `technique`
@@ -605,14 +762,8 @@ pub fn simulate_layer_backward_ex(
     technique: Technique,
     is_first: bool,
 ) -> (SimReport, LayerDecision) {
-    simulate_layer_backward_with(
-        gemm,
-        density,
-        config,
-        technique,
-        is_first,
-        &SimOptions::default(),
-    )
+    let options = SimOptions::default();
+    simulate_layer_backward_with(gemm, density, config, technique, is_first, &options)
 }
 
 /// [`simulate_layer_backward_ex`] with explicit execution options.
@@ -624,1076 +775,53 @@ pub fn simulate_layer_backward_with(
     is_first: bool,
     options: &SimOptions,
 ) -> (SimReport, LayerDecision) {
-    if options.memoize {
-        if let Some(hit) = simcache::get_backward(gemm, density, config, technique, is_first) {
-            return hit;
-        }
-    }
-    let out = if options.analytic_fast_path {
-        fast_backward_uncached(gemm, density, config, technique, is_first, options)
-    } else {
-        backward_uncached(gemm, density, config, technique, is_first, options)
-    };
-    if options.memoize {
-        simcache::put_backward(gemm, density, config, technique, is_first, out.0, out.1);
-    }
-    out
+    let p = Point::new(gemm, density, is_first, Pass::Backward(technique));
+    evaluate(&p, &Rungs::single(config), options)[0]
 }
 
-fn backward_uncached(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    technique: Technique,
-    is_first: bool,
-    options: &SimOptions,
-) -> (SimReport, LayerDecision) {
-    let policy = TilePolicy::for_config(config);
-    let mut proto = Schedule::new("bwd");
-    let tensors = LayerTensors::register(&mut proto, "l");
-
-    // A non-partitioned candidate: one schedule on a single core, or the
-    // conventional batch (weight-sharing) data parallelism across cores.
-    let plain_candidate = |order: BackwardOrder| -> Candidate {
-        let exec = if config.cores == 1 {
-            let mut s = proto.fork("bwd");
-            BackwardBuilder::new(gemm, policy, tensors)
-                .with_ifmap_density(density)
-                .emit(order, is_first, &mut s);
-            CandidateExec::Single(s)
-        } else {
-            let p = partition_backward_ex(
-                &proto,
-                tensors,
-                gemm,
-                density,
-                policy,
-                PartitionScheme::WeightSharing,
-                config.cores as u64,
-                order,
-                is_first,
-            );
-            CandidateExec::Multicore {
-                per_core: p.schedules,
-                reduction: p.reduction,
-            }
-        };
-        Candidate {
-            decision: LayerDecision {
-                order,
-                partition: None,
-            },
-            exec,
-        }
-    };
-
-    match technique {
-        Technique::Baseline => {
-            let c = plain_candidate(BackwardOrder::Baseline);
-            let r = c.run(config, &mut EngineScratch::new());
-            (r, c.decision)
-        }
-        Technique::IdealDyReuse => {
-            let c = plain_candidate(BackwardOrder::IdealDyReuse);
-            let r = c.run(config, &mut EngineScratch::new());
-            (r, c.decision)
-        }
-        Technique::Interleaving => {
-            let c = plain_candidate(BackwardOrder::Interleaved);
-            let r = c.run(config, &mut EngineScratch::new());
-            (r, c.decision)
-        }
-        Technique::Rearrangement => {
-            let c = plain_candidate(rearranged_order(gemm, config));
-            let r = c.run(config, &mut EngineScratch::new());
-            (r, c.decision)
-        }
-        Technique::RearrangementOracle => {
-            let candidates: Vec<Candidate> = [
-                BackwardOrder::Interleaved,
-                BackwardOrder::DxMajor,
-                BackwardOrder::DwMajor,
-            ]
-            .into_iter()
-            .map(plain_candidate)
-            .collect();
-            select_best(&candidates, config, options)
-        }
-        Technique::DataPartitioning => {
-            let candidates =
-                partition_candidates(gemm, density, config, is_first, &proto, tensors, policy);
-            select_best(&candidates, config, options)
-        }
-    }
-}
-
-/// [`backward_uncached`] on the analytic fast path: the same candidate
-/// sets and selection semantics, but candidates are held as unemitted
-/// [`BackwardBuilder`]s, evaluated by allocation-free replay (bit-identical
-/// to the engine by construction), and pruned with the closed-form bounds
-/// of [`crate::bound`].
-fn fast_backward_uncached(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    technique: Technique,
-    is_first: bool,
-    options: &SimOptions,
-) -> (SimReport, LayerDecision) {
-    let policy = TilePolicy::for_config(config);
-    let tensors = fast_layer_tensors();
-    let engine = Engine::new(config);
-
-    // A non-partitioned candidate: one stream on a single core, or the
-    // conventional batch (weight-sharing) data parallelism across cores.
-    let plain_candidate = |order: BackwardOrder| -> FastCandidate {
-        let decision = LayerDecision {
-            order,
-            partition: None,
-        };
-        if config.cores == 1 {
-            let builder = BackwardBuilder::new(gemm, policy, tensors).with_ifmap_density(density);
-            let bound = plain_candidate_bound(&builder, order, is_first, &engine);
-            FastCandidate {
-                decision,
-                bound,
-                exec: FastExec::Single(Box::new(builder)),
-            }
-        } else {
-            let parts = config.cores as u64;
-            let scheme = PartitionScheme::WeightSharing;
-            let bound = multicore_candidate_bound(
-                config, &engine, tensors, gemm, density, policy, scheme, parts, order, is_first,
-            );
-            let plan = plan_partition_backward(
-                &mut fresh_ids(),
-                tensors,
-                gemm,
-                density,
-                policy.dtype,
-                scheme,
-                parts,
-                is_first,
-            );
-            let builders = plan
-                .sub_gemms
-                .iter()
-                .zip(&plan.part_tensors)
-                .map(|(sub, t)| BackwardBuilder::new(*sub, policy, *t).with_ifmap_density(density))
-                .collect();
-            FastCandidate {
-                decision,
-                bound,
-                exec: FastExec::Multicore {
-                    builders,
-                    reduction: plan.reduction,
-                },
-            }
-        }
-    };
-
-    let run_one = |c: FastCandidate| -> (SimReport, LayerDecision) {
-        let r = with_fast_scratch(|s| c.run_bounded(&engine, config, is_first, None, s))
-            .expect("unbounded run always completes");
-        (r, c.decision)
-    };
-
-    match technique {
-        Technique::Baseline => run_one(plain_candidate(BackwardOrder::Baseline)),
-        Technique::IdealDyReuse => run_one(plain_candidate(BackwardOrder::IdealDyReuse)),
-        Technique::Interleaving => run_one(plain_candidate(BackwardOrder::Interleaved)),
-        Technique::Rearrangement => run_one(plain_candidate(rearranged_order(gemm, config))),
-        Technique::RearrangementOracle => {
-            let candidates: Vec<FastCandidate> = [
-                BackwardOrder::Interleaved,
-                BackwardOrder::DxMajor,
-                BackwardOrder::DwMajor,
-            ]
-            .into_iter()
-            .map(plain_candidate)
-            .collect();
-            select_best_fast(&candidates, config, is_first, options)
-        }
-        Technique::DataPartitioning => {
-            let mut candidates: Vec<FastCandidate> = Vec::new();
-            let algorithm1 = |g: GemmShape| BackwardOrder::from(select_order(g));
-            if config.cores == 1 {
-                for order in dedup_orders([algorithm1(gemm), BackwardOrder::Baseline]) {
-                    candidates.push(plain_candidate(order));
-                }
-                for scheme in PartitionScheme::ALL {
-                    for parts in SINGLE_CORE_PART_CANDIDATES {
-                        let sub = gemm.split(scheme.split_dim(), parts)[0];
-                        for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                            let bound = sequential_candidate_bound(
-                                config, &engine, tensors, gemm, density, policy, scheme, parts,
-                                order, is_first,
-                            );
-                            let plan = plan_partition_backward(
-                                &mut fresh_ids(),
-                                tensors,
-                                gemm,
-                                density,
-                                policy.dtype,
-                                scheme,
-                                parts,
-                                is_first,
-                            );
-                            let builders: Vec<BackwardBuilder> = plan
-                                .sub_gemms
-                                .iter()
-                                .zip(&plan.part_tensors)
-                                .map(|(s, t)| {
-                                    BackwardBuilder::new(*s, policy, *t).with_ifmap_density(density)
-                                })
-                                .collect();
-                            candidates.push(FastCandidate {
-                                decision: LayerDecision {
-                                    order,
-                                    partition: Some((scheme, builders.len() as u64)),
-                                },
-                                bound,
-                                exec: FastExec::Sequential {
-                                    builders,
-                                    reduction: plan.reduction,
-                                },
-                            });
-                        }
-                    }
-                }
-            } else {
-                let parts = config.cores as u64;
-                for scheme in PartitionScheme::ALL {
-                    let sub = gemm.split(scheme.split_dim(), parts)[0];
-                    for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                        let bound = multicore_candidate_bound(
-                            config, &engine, tensors, gemm, density, policy, scheme, parts, order,
-                            is_first,
-                        );
-                        let plan = plan_partition_backward(
-                            &mut fresh_ids(),
-                            tensors,
-                            gemm,
-                            density,
-                            policy.dtype,
-                            scheme,
-                            parts,
-                            is_first,
-                        );
-                        let builders: Vec<BackwardBuilder> = plan
-                            .sub_gemms
-                            .iter()
-                            .zip(&plan.part_tensors)
-                            .map(|(s, t)| {
-                                BackwardBuilder::new(*s, policy, *t).with_ifmap_density(density)
-                            })
-                            .collect();
-                        candidates.push(FastCandidate {
-                            decision: LayerDecision {
-                                order,
-                                partition: Some((scheme, builders.len() as u64)),
-                            },
-                            bound,
-                            exec: FastExec::Multicore {
-                                builders,
-                                reduction: plan.reduction,
-                            },
-                        });
-                    }
-                }
-            }
-            select_best_fast(&candidates, config, is_first, options)
-        }
-    }
-}
-
-/// The §5 candidate set: the candidate partitionings (composed with
-/// Algorithm 1 ordering), in the fixed order the sequential selector
-/// walked them. On a single core the unpartitioned rearranged schedule is
-/// also a candidate (partitioning is optional there); on a multi-core NPU
-/// some partitioning is required to use the cores, so the candidates are
-/// the three schemes at `cores` partitions.
-#[allow(clippy::too_many_arguments)]
-fn partition_candidates(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    is_first: bool,
-    proto: &Schedule,
-    tensors: LayerTensors,
-    policy: TilePolicy,
-) -> Vec<Candidate> {
-    let algorithm1 = |g: GemmShape| BackwardOrder::from(select_order(g));
-    let mut out: Vec<Candidate> = Vec::new();
-
-    if config.cores == 1 {
-        // Unpartitioned candidates: the rearranged schedule and — because
-        // the mapping selection may keep the conventional mapping when no
-        // alternative wins — the baseline order.
-        for order in dedup_orders([algorithm1(gemm), BackwardOrder::Baseline]) {
-            let mut s = proto.fork("bwd");
-            BackwardBuilder::new(gemm, policy, tensors)
-                .with_ifmap_density(density)
-                .emit(order, is_first, &mut s);
-            out.push(Candidate {
-                decision: LayerDecision {
-                    order,
-                    partition: None,
-                },
-                exec: CandidateExec::Single(s),
-            });
-        }
-        for scheme in PartitionScheme::ALL {
-            for parts in SINGLE_CORE_PART_CANDIDATES {
-                let sub = gemm.split(scheme.split_dim(), parts)[0];
-                for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                    let p = partition_backward_ex(
-                        proto, tensors, gemm, density, policy, scheme, parts, order, is_first,
-                    );
-                    out.push(Candidate {
-                        decision: LayerDecision {
-                            order,
-                            partition: Some((scheme, p.schedules.len() as u64)),
-                        },
-                        exec: CandidateExec::Sequential {
-                            segments: p.schedules,
-                            reduction: p.reduction,
-                        },
-                    });
-                }
-            }
-        }
-    } else {
-        let parts = config.cores as u64;
-        for scheme in PartitionScheme::ALL {
-            let sub = gemm.split(scheme.split_dim(), parts)[0];
-            for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                let p = partition_backward_ex(
-                    proto, tensors, gemm, density, policy, scheme, parts, order, is_first,
-                );
-                out.push(Candidate {
-                    decision: LayerDecision {
-                        order,
-                        partition: Some((scheme, p.schedules.len() as u64)),
-                    },
-                    exec: CandidateExec::Multicore {
-                        per_core: p.schedules,
-                        reduction: p.reduction,
-                    },
-                });
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Capacity-ladder evaluation
-// ---------------------------------------------------------------------------
-//
-// An SPM sweep simulates the same `(model, technique)` point at several SPM
-// capacities whose configs are otherwise identical. The candidate *set* is
-// capacity-independent, and a candidate's access stream depends on capacity
-// only through its blocking factors ([`EmissionSig`]). The functions below
-// exploit both: rungs whose emission signatures coincide share one emission,
-// replayed once per rung ([`AnalyticCollector::replay_bounded`], under that
-// rung's own cutoff), and every exact replay is memoized in a
-// capacity-*oblivious* cache ([`crate::simcache`]) so a candidate schedule
-// re-encountered under any other technique, sweep arm or SPM size is
-// answered without replaying at all. All selection semantics (lexicographic
-// `(cycles, candidate index)` winner, admissible bound skips, cutoff aborts)
-// mirror [`select_best_fast`] per rung, so the reports and decisions are
-// bit-identical to evaluating each rung independently.
-
-/// A validated SPM ladder: single-core configs identical except for their
-/// strictly ascending SPM capacities.
-struct LadderRungs {
-    configs: Vec<NpuConfig>,
-    engines: Vec<Engine>,
-    policies: Vec<TilePolicy>,
-}
-
-impl LadderRungs {
-    fn len(&self) -> usize {
-        self.configs.len()
-    }
-}
-
-/// Validate `configs` as a capacity ladder the grouped path can serve.
-/// Returns `None` (callers fall back to per-config simulation) unless the
-/// options enable the ladder path, all configs are single-core and equal
-/// up to SPM size, and both the SPM sizes and the derived analytic
-/// capacities are strictly ascending.
-fn ladder_rungs(configs: &[NpuConfig], options: &SimOptions) -> Option<LadderRungs> {
-    if configs.len() < 2 || !options.analytic_fast_path || !options.ladder {
-        return None;
-    }
-    if configs.iter().any(|c| c.cores != 1) {
-        return None;
-    }
-    let fp0 = ConfigFingerprint::sans_spm(&configs[0]);
-    if configs
-        .iter()
-        .any(|c| ConfigFingerprint::sans_spm(c) != fp0)
-    {
-        return None;
-    }
-    if !configs.windows(2).all(|w| w[0].spm_bytes < w[1].spm_bytes) {
-        return None;
-    }
-    let engines: Vec<Engine> = configs.iter().map(Engine::new).collect();
-    if !engines
-        .windows(2)
-        .all(|w| w[0].residency_bytes() < w[1].residency_bytes())
-    {
-        return None;
-    }
-    Some(LadderRungs {
-        configs: configs.to_vec(),
-        policies: configs.iter().map(TilePolicy::for_config).collect(),
-        engines,
-    })
-}
-
-/// Simulate one layer's forward pass at every rung of the ladder, grouping
-/// rungs with identical emission signatures onto one emission.
-fn ladder_forward(
-    gemm: GemmShape,
-    density: f64,
-    rungs: &LadderRungs,
-    options: &SimOptions,
-) -> Vec<SimReport> {
-    let n = rungs.len();
-    let mut out: Vec<Option<SimReport>> = vec![None; n];
-    if options.memoize {
-        for (r, config) in rungs.configs.iter().enumerate() {
-            out[r] = simcache::get_forward(gemm, density, config);
-        }
-        if out.iter().any(Option::is_none) {
-            if let Some(curve) =
-                simcache::get_profile(gemm, density, &rungs.configs[0], ProfilePass::Forward)
-            {
-                for (r, config) in rungs.configs.iter().enumerate() {
-                    if out[r].is_none() {
-                        if let Ok(i) = curve.binary_search_by_key(&config.spm_bytes, |&(s, _)| s) {
-                            out[r] = Some(curve[i].1);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let missing: Vec<usize> = (0..n).filter(|&r| out[r].is_none()).collect();
-    if !missing.is_empty() {
-        let tensors = fast_layer_tensors();
-        let mut groups: Vec<(EmissionSig, Vec<usize>)> = Vec::new();
-        for &r in &missing {
-            let sig = forward_emission_signature(gemm, rungs.policies[r]);
-            match groups.iter_mut().find(|(g, _)| *g == sig) {
-                Some((_, v)) => v.push(r),
-                None => groups.push((sig, vec![r])),
-            }
-        }
-        let mut fresh: Vec<(u64, SimReport)> = Vec::new();
-        with_fast_scratch(|s| {
-            for (_, group) in &groups {
-                let lead = group[0];
-                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
-                BackwardBuilder::new(gemm, rungs.policies[lead], tensors).register_grids(c);
-                forward_schedule(gemm, rungs.policies[lead], tensors, density, c);
-                for &r in group {
-                    let rep = c.replay(&rungs.engines[r], &mut s.replay).report;
-                    out[r] = Some(rep);
-                    fresh.push((rungs.configs[r].spm_bytes, rep));
-                }
-            }
-        });
-        if options.memoize {
-            for &r in &missing {
-                simcache::put_forward(gemm, density, &rungs.configs[r], out[r].unwrap());
-            }
-            simcache::put_profile(
-                gemm,
-                density,
-                &rungs.configs[0],
-                ProfilePass::Forward,
-                &fresh,
-            );
-        }
-    }
-    out.into_iter().map(Option::unwrap).collect()
-}
-
-/// One capacity-independent backward candidate of a ladder evaluation.
-/// Mirrors the construction order of [`fast_backward_uncached`] exactly, so
-/// the per-rung lexicographic `(cycles, index)` winner is the same.
-struct LadderCandidate {
-    decision: LayerDecision,
-    /// Profile-cache identity of this candidate's schedule.
-    pass: ProfilePass,
-    kind: LadderKind,
-}
-
-enum LadderKind {
-    /// One emission stream on the single core.
-    Plain(BackwardOrder),
-    /// Partition segments chained on the single core, then a reduction.
-    Seq {
-        plan: PartitionPlan,
-        scheme: PartitionScheme,
-        /// The *requested* split count fed to the closed-form bound (the
-        /// plan may realise fewer parts on small layers).
-        parts: u64,
-        order: BackwardOrder,
-    },
-}
-
-/// The capacity-independent candidate set for one `(technique, layer)`
-/// point — [`fast_backward_uncached`]'s single-core candidate enumeration
-/// with emission deferred.
-fn ladder_candidates(
-    gemm: GemmShape,
-    density: f64,
-    rungs: &LadderRungs,
-    technique: Technique,
-    is_first: bool,
-    tensors: LayerTensors,
-) -> Vec<LadderCandidate> {
-    let plain = |order: BackwardOrder| LadderCandidate {
-        decision: LayerDecision {
-            order,
-            partition: None,
-        },
-        pass: ProfilePass::Plain { order, is_first },
-        kind: LadderKind::Plain(order),
-    };
-    match technique {
-        Technique::Baseline => vec![plain(BackwardOrder::Baseline)],
-        Technique::IdealDyReuse => vec![plain(BackwardOrder::IdealDyReuse)],
-        Technique::Interleaving => vec![plain(BackwardOrder::Interleaved)],
-        Technique::Rearrangement => vec![plain(rearranged_order(gemm, &rungs.configs[0]))],
-        Technique::RearrangementOracle => vec![
-            plain(BackwardOrder::Interleaved),
-            plain(BackwardOrder::DxMajor),
-            plain(BackwardOrder::DwMajor),
-        ],
-        Technique::DataPartitioning => {
-            let algorithm1 = |g: GemmShape| BackwardOrder::from(select_order(g));
-            let mut out: Vec<LadderCandidate> =
-                dedup_orders([algorithm1(gemm), BackwardOrder::Baseline])
-                    .into_iter()
-                    .map(plain)
-                    .collect();
-            for scheme in PartitionScheme::ALL {
-                for parts in SINGLE_CORE_PART_CANDIDATES {
-                    let sub = gemm.split(scheme.split_dim(), parts)[0];
-                    for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                        let plan = plan_partition_backward(
-                            &mut fresh_ids(),
-                            tensors,
-                            gemm,
-                            density,
-                            rungs.policies[0].dtype,
-                            scheme,
-                            parts,
-                            is_first,
-                        );
-                        let realised = plan.sub_gemms.len() as u64;
-                        out.push(LadderCandidate {
-                            decision: LayerDecision {
-                                order,
-                                partition: Some((scheme, realised)),
-                            },
-                            pass: ProfilePass::Partition {
-                                scheme,
-                                parts: realised,
-                                order,
-                                is_first,
-                            },
-                            kind: LadderKind::Seq {
-                                plan,
-                                scheme,
-                                parts,
-                                order,
-                            },
-                        });
-                    }
-                }
-            }
-            out
-        }
-    }
-}
-
-/// The rung-`r` builders of one candidate (plain builders are shared
-/// across candidates, partition sub-builders are built per candidate).
-enum BuiltSet<'a> {
-    Plain(&'a BackwardBuilder),
-    Seq(Vec<BackwardBuilder>),
-}
-
-impl BuiltSet<'_> {
-    fn signature(&self, order: BackwardOrder, is_first: bool) -> Vec<EmissionSig> {
-        match self {
-            BuiltSet::Plain(b) => vec![b.emission_signature(order, is_first)],
-            BuiltSet::Seq(v) => v
-                .iter()
-                .map(|b| b.emission_signature(order, is_first))
-                .collect(),
-        }
-    }
-}
-
-fn update_best(best: &mut Option<(usize, SimReport)>, ci: usize, rep: SimReport) {
-    let wins = match best {
-        None => true,
-        Some((bi, b)) => (rep.cycles, ci) < (b.cycles, *bi),
-    };
-    if wins {
-        *best = Some((ci, rep));
-    }
-}
-
-/// Simulate one layer's backward pass at every rung of the ladder. Per
-/// rung this reproduces [`select_best_fast`]'s winner bit for bit; across
-/// rungs, each candidate is emitted once per distinct emission signature
-/// and replayed at each matching rung, with exact results memoized
-/// capacity-obliviously.
-fn ladder_backward(
-    gemm: GemmShape,
-    density: f64,
-    rungs: &LadderRungs,
-    technique: Technique,
-    is_first: bool,
-    options: &SimOptions,
-) -> Vec<(SimReport, LayerDecision)> {
-    let n = rungs.len();
-    let mut done: Vec<Option<(SimReport, LayerDecision)>> = vec![None; n];
-    if options.memoize {
-        for (r, config) in rungs.configs.iter().enumerate() {
-            done[r] = simcache::get_backward(gemm, density, config, technique, is_first);
-        }
-    }
-    let todo: Vec<usize> = (0..n).filter(|&r| done[r].is_none()).collect();
-    if todo.is_empty() {
-        return done.into_iter().map(Option::unwrap).collect();
-    }
-
-    let tensors = fast_layer_tensors();
-    let cands = ladder_candidates(gemm, density, rungs, technique, is_first, tensors);
-
-    // Exact combined report of candidate `ci` at rung `r`, once known.
-    let mut computed: Vec<Vec<Option<SimReport>>> = vec![vec![None; n]; cands.len()];
-    // Freshly replayed raw (pre-reduction) points for the profile cache.
-    let mut fresh: Vec<Vec<(u64, SimReport)>> = vec![Vec::new(); cands.len()];
-
-    // Fold memoized capacity curves in first: any rung of any candidate
-    // profiled before — under *any* technique or SPM ladder — is answered
-    // without replaying.
-    if options.memoize {
-        for (ci, cand) in cands.iter().enumerate() {
-            if let Some(curve) = simcache::get_profile(gemm, density, &rungs.configs[0], cand.pass)
-            {
-                for &r in &todo {
-                    if let Ok(i) =
-                        curve.binary_search_by_key(&rungs.configs[r].spm_bytes, |&(s, _)| s)
-                    {
-                        computed[ci][r] =
-                            Some(combine_candidate(cand, &rungs.configs[r], curve[i].1));
-                    }
-                }
-            }
-        }
-    }
-
-    // Running per-rung best as lexicographic minimum of (cycles, index) —
-    // fold order over candidates cannot change a lexicographic minimum.
-    let mut best: Vec<Option<(usize, SimReport)>> = vec![None; n];
-    for &r in &todo {
-        for (ci, rungs_of) in computed.iter().enumerate() {
-            if let Some(rep) = rungs_of[r] {
-                update_best(&mut best[r], ci, rep);
-            }
-        }
-    }
-
-    // Shared per-rung plain builders (every technique has plain candidates).
-    let plain_builders: Vec<BackwardBuilder> = rungs
-        .policies
-        .iter()
-        .map(|&policy| BackwardBuilder::new(gemm, policy, tensors).with_ifmap_density(density))
-        .collect();
-
-    // Closed-form admissible bounds per (candidate, rung), pruning only.
-    let bounds: Vec<Vec<u64>> = if options.prune {
-        cands
-            .iter()
-            .map(|cand| {
-                (0..n)
-                    .map(|r| match &cand.kind {
-                        _ if done[r].is_some() => u64::MAX,
-                        LadderKind::Plain(order) => plain_candidate_bound(
-                            &plain_builders[r],
-                            *order,
-                            is_first,
-                            &rungs.engines[r],
-                        ),
-                        LadderKind::Seq {
-                            scheme,
-                            parts,
-                            order,
-                            ..
-                        } => sequential_candidate_bound(
-                            &rungs.configs[r],
-                            &rungs.engines[r],
-                            tensors,
-                            gemm,
-                            density,
-                            rungs.policies[r],
-                            *scheme,
-                            *parts,
-                            *order,
-                            is_first,
-                        ),
-                    })
-                    .collect()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Evaluation order: ascending best-case bound, like `select_best_fast`.
-    // Any visit order yields the same winner (skips and aborts only drop
-    // provably strictly-worse candidates); this one tightens cutoffs fastest.
-    let mut eval_order: Vec<usize> = (0..cands.len()).collect();
-    if options.prune {
-        eval_order.sort_by_key(|&ci| {
-            let key = todo
-                .iter()
-                .filter(|&&r| computed[ci][r].is_none())
-                .map(|&r| bounds[ci][r])
-                .min()
-                .unwrap_or(u64::MAX);
-            (key, ci)
-        });
-    }
-
-    with_fast_scratch(|s| {
-        for &ci in &eval_order {
-            let cand = &cands[ci];
-            // Rungs this candidate still needs, with their replay cutoffs:
-            // the running best (pruning only), minus the reduction for
-            // partition candidates (a budget below the reduction alone is
-            // unmeetable — mirrors `replay_sequential_partitions_bounded`).
-            let mut reps: Vec<(usize, Option<u64>)> = Vec::new();
-            for &r in &todo {
-                if computed[ci][r].is_some() {
-                    continue;
-                }
-                let outer = match &best[r] {
-                    Some((_, b)) if options.prune => {
-                        if bounds[ci][r] > b.cycles {
-                            continue;
-                        }
-                        Some(b.cycles)
-                    }
-                    _ => None,
-                };
-                match (&cand.kind, outer) {
-                    (LadderKind::Seq { plan, .. }, Some(c)) => {
-                        let red = reduction_cycles(&rungs.configs[r], plan.reduction);
-                        if let Some(inner) = c.checked_sub(red) {
-                            reps.push((r, Some(inner)));
-                        }
-                    }
-                    (_, outer) => reps.push((r, outer)),
-                }
-            }
-            if reps.is_empty() {
-                continue;
-            }
-            // Build the needed rungs' builders and group rungs whose
-            // emission signatures prove their streams identical.
-            let built: Vec<BuiltSet> = reps
-                .iter()
-                .map(|&(r, _)| match &cand.kind {
-                    LadderKind::Plain(_) => BuiltSet::Plain(&plain_builders[r]),
-                    LadderKind::Seq { plan, .. } => BuiltSet::Seq(
-                        plan.sub_gemms
-                            .iter()
-                            .zip(&plan.part_tensors)
-                            .map(|(&g, &t)| {
-                                BackwardBuilder::new(g, rungs.policies[r], t)
-                                    .with_ifmap_density(density)
-                            })
-                            .collect(),
-                    ),
-                })
-                .collect();
-            let order = cand.decision.order;
-            let mut groups: Vec<(Vec<EmissionSig>, Vec<usize>)> = Vec::new();
-            for (i, bs) in built.iter().enumerate() {
-                let sig = bs.signature(order, is_first);
-                match groups.iter_mut().find(|(g, _)| *g == sig) {
-                    Some((_, v)) => v.push(i),
-                    None => groups.push((sig, vec![i])),
-                }
-            }
-            for (_, members) in &groups {
-                let lead = members[0];
-                let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
-                match &built[lead] {
-                    BuiltSet::Plain(b) => {
-                        b.register_grids(c);
-                        b.emit(order, is_first, c);
-                    }
-                    BuiltSet::Seq(v) => {
-                        // Segments concatenate with no barrier, mirroring
-                        // `Schedule::append_compatible`.
-                        for b in v {
-                            b.register_grids(c);
-                        }
-                        for b in v {
-                            b.emit(order, is_first, c);
-                        }
-                    }
-                }
-                for &i in members {
-                    let (r, cutoff) = reps[i];
-                    if let Some(a) = c.replay_bounded(&rungs.engines[r], &mut s.replay, cutoff) {
-                        fresh[ci].push((rungs.configs[r].spm_bytes, a.report));
-                        let rep = combine_candidate(cand, &rungs.configs[r], a.report);
-                        computed[ci][r] = Some(rep);
-                        update_best(&mut best[r], ci, rep);
-                    }
-                }
-            }
-        }
-    });
-
-    for &r in &todo {
-        let (ci, rep) = best[r].expect("the first candidate at a rung replays uncut");
-        done[r] = Some((rep, cands[ci].decision));
-        if options.memoize {
-            simcache::put_backward(
-                gemm,
-                density,
-                &rungs.configs[r],
-                technique,
-                is_first,
-                rep,
-                cands[ci].decision,
-            );
-        }
-    }
-    if options.memoize {
-        for (ci, points) in fresh.iter().enumerate() {
-            simcache::put_profile(gemm, density, &rungs.configs[0], cands[ci].pass, points);
-        }
-    }
-    done.into_iter().map(Option::unwrap).collect()
-}
-
-/// Fold a raw replay report into the candidate's combined report: plain
-/// candidates are already combined; partition candidates pay the
-/// (capacity-independent) reduction on top — the exact math of
-/// [`run_sequential_partitions`]'s `.combined()`.
-///
-/// [`run_sequential_partitions`]: igo_npu_sim::run_sequential_partitions
-fn combine_candidate(cand: &LadderCandidate, config: &NpuConfig, raw: SimReport) -> SimReport {
-    match &cand.kind {
-        LadderKind::Plain(_) => raw,
-        LadderKind::Seq { plan, .. } => sequential_combined(config, raw, plan.reduction),
-    }
-}
-
-/// One layer at every rung of the ladder (indexes parallel `rungs`).
-fn layer_outcome_ladder(
-    layer: &Layer,
-    rungs: &LadderRungs,
-    technique: Technique,
-    options: &SimOptions,
-) -> Vec<LayerOutcome> {
-    let forward = ladder_forward(layer.gemm, layer.ifmap_density, rungs, options);
-    let backward = ladder_backward(
-        layer.gemm,
-        layer.ifmap_density,
-        rungs,
-        technique,
-        layer.is_first,
-        options,
-    );
-    forward
-        .into_iter()
-        .zip(backward)
-        .map(|(f, (b, decision))| LayerOutcome {
-            name: layer.name.clone(),
-            multiplicity: layer.count as u64 * layer.groups as u64,
-            forward: f,
-            backward: b,
-            decision,
-            gemm: layer.gemm,
-        })
-        .collect()
-}
-
-/// Simulate one model under `technique` at every SPM capacity of `configs`
-/// — one report per config, in order, each bit-identical to
-/// [`simulate_model_with`] on that config alone.
-///
-/// When `configs` forms a valid capacity ladder (single-core, identical up
-/// to strictly ascending SPM sizes) and [`SimOptions::ladder`] is set,
-/// each candidate schedule is emitted once per distinct blocking signature
-/// and replayed at every matching rung; otherwise this transparently falls
-/// back to per-config simulation.
-pub fn simulate_model_ladder(
+/// One report per rung, each keeping the model's layer order; independent
+/// layers run concurrently when `options.parallel` is set.
+fn model_reports(
     model: &Model,
-    configs: &[NpuConfig],
+    rungs: &Rungs,
     technique: Technique,
     options: &SimOptions,
 ) -> Vec<ModelReport> {
-    let Some(rungs) = ladder_rungs(configs, options) else {
-        return configs
-            .iter()
-            .map(|c| simulate_model_with(model, c, technique, options))
-            .collect();
+    let outcomes = |layer: &Layer| {
+        let (gemm, density, is_first) = (layer.gemm, layer.ifmap_density, layer.is_first);
+        let at = |pass| evaluate(&Point::new(gemm, density, is_first, pass), rungs, options);
+        let forward = at(Pass::Forward);
+        let backward = at(Pass::Backward(technique));
+        (forward.into_iter().zip(backward))
+            .map(|((forward, _), (backward, decision))| LayerOutcome {
+                name: layer.name.clone(),
+                multiplicity: layer.count as u64 * layer.groups as u64,
+                forward,
+                backward,
+                decision,
+                gemm,
+            })
+            .collect::<Vec<_>>()
     };
     let per_layer: Vec<Vec<LayerOutcome>> = if options.parallel {
-        parallel_map_workers(
-            &model.layers,
-            options.workers,
-            || (),
-            |(), layer| layer_outcome_ladder(layer, &rungs, technique, options),
-        )
+        parallel_map_workers(&model.layers, options.workers, || (), |(), l| outcomes(l))
     } else {
-        model
-            .layers
-            .iter()
-            .map(|layer| layer_outcome_ladder(layer, &rungs, technique, options))
-            .collect()
+        model.layers.iter().map(outcomes).collect()
     };
-    configs
-        .iter()
-        .enumerate()
-        .map(|(r, config)| ModelReport {
+    let mut reports: Vec<ModelReport> = (rungs.configs.iter())
+        .map(|config| ModelReport {
             model: model.name.clone(),
             config: config.name.clone(),
             technique,
-            layers: per_layer.iter().map(|v| v[r].clone()).collect(),
+            layers: Vec::with_capacity(per_layer.len()),
         })
-        .collect()
-}
-
-/// Per-layer outcome within a model report.
-#[derive(Debug, Clone)]
-pub struct LayerOutcome {
-    /// Layer name.
-    pub name: String,
-    /// Instances of this exact layer in the model (count × conv groups).
-    pub multiplicity: u64,
-    /// Forward-pass report of one instance.
-    pub forward: SimReport,
-    /// Backward-pass report of one instance.
-    pub backward: SimReport,
-    /// Scheduler decisions for the backward pass.
-    pub decision: LayerDecision,
-    /// The layer's forward GEMM (convenience for downstream analyses).
-    pub gemm: GemmShape,
-}
-
-impl LayerOutcome {
-    /// Total cycles contributed by all instances (forward + backward).
-    pub fn total_cycles(&self) -> u64 {
-        (self.forward.cycles + self.backward.cycles) * self.multiplicity
-    }
-
-    /// Backward cycles of all instances.
-    pub fn backward_cycles(&self) -> u64 {
-        self.backward.cycles * self.multiplicity
-    }
-}
-
-/// A full training-step simulation of one model under one technique.
-#[derive(Debug, Clone)]
-pub struct ModelReport {
-    /// Model name.
-    pub model: String,
-    /// Configuration name.
-    pub config: String,
-    /// Technique applied.
-    pub technique: Technique,
-    /// Per-distinct-layer outcomes, in forward order.
-    pub layers: Vec<LayerOutcome>,
-}
-
-impl ModelReport {
-    /// Total training-step cycles (forward + backward over all layers).
-    pub fn total_cycles(&self) -> u64 {
-        self.layers.iter().map(LayerOutcome::total_cycles).sum()
-    }
-
-    /// Forward-pass cycles only.
-    pub fn forward_cycles(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.forward.cycles * l.multiplicity)
-            .sum()
-    }
-
-    /// Backward-pass cycles only.
-    pub fn backward_cycles(&self) -> u64 {
-        self.layers.iter().map(LayerOutcome::backward_cycles).sum()
-    }
-
-    /// Aggregate backward-pass DRAM traffic (the Figure 5 quantity).
-    pub fn backward_traffic(&self) -> Traffic {
-        let mut t = Traffic::new();
-        for l in &self.layers {
-            t.merge(&l.backward.traffic.scaled(l.multiplicity));
+        .collect();
+    for layer in per_layer {
+        for (report, outcome) in reports.iter_mut().zip(layer) {
+            report.layers.push(outcome);
         }
-        t
     }
-
-    /// Aggregate DRAM traffic of the whole step.
-    pub fn total_traffic(&self) -> Traffic {
-        let mut t = Traffic::new();
-        for l in &self.layers {
-            t.merge(&l.forward.traffic.scaled(l.multiplicity));
-            t.merge(&l.backward.traffic.scaled(l.multiplicity));
-        }
-        t
-    }
-
-    /// Execution time normalised to a baseline run (Figure 12's y-axis).
-    pub fn normalized_to(&self, baseline: &ModelReport) -> f64 {
-        self.total_cycles() as f64 / baseline.total_cycles() as f64
-    }
-}
-
-fn layer_outcome(
-    layer: &Layer,
-    config: &NpuConfig,
-    technique: Technique,
-    options: &SimOptions,
-) -> LayerOutcome {
-    let forward = simulate_layer_forward_with(layer.gemm, layer.ifmap_density, config, options);
-    let (backward, decision) = simulate_layer_backward_with(
-        layer.gemm,
-        layer.ifmap_density,
-        config,
-        technique,
-        layer.is_first,
-        options,
-    );
-    LayerOutcome {
-        name: layer.name.clone(),
-        multiplicity: layer.count as u64 * layer.groups as u64,
-        forward,
-        backward,
-        decision,
-        gemm: layer.gemm,
-    }
+    reports
 }
 
 /// Simulate one model's full training step under `technique`.
@@ -1705,34 +833,37 @@ pub fn simulate_model(model: &Model, config: &NpuConfig, technique: Technique) -
     simulate_model_with(model, config, technique, &SimOptions::default())
 }
 
-/// [`simulate_model`] with explicit execution options. Independent layers
-/// are evaluated concurrently when `options.parallel` is set; the report's
-/// layer order always matches the model's.
+/// [`simulate_model`] with explicit execution options.
 pub fn simulate_model_with(
     model: &Model,
     config: &NpuConfig,
     technique: Technique,
     options: &SimOptions,
 ) -> ModelReport {
-    let layers = if options.parallel {
-        parallel_map_workers(
-            &model.layers,
-            options.workers,
-            || (),
-            |(), layer| layer_outcome(layer, config, technique, options),
-        )
-    } else {
-        model
-            .layers
-            .iter()
-            .map(|layer| layer_outcome(layer, config, technique, options))
-            .collect()
-    };
-    ModelReport {
-        model: model.name.clone(),
-        config: config.name.clone(),
-        technique,
-        layers,
+    let mut reports = model_reports(model, &Rungs::single(config), technique, options);
+    reports.pop().expect("one report per rung")
+}
+
+/// Simulate one model under `technique` at every SPM capacity of `configs`
+/// — one report per config, in order, each bit-identical to
+/// [`simulate_model_with`] on that config alone.
+///
+/// When `configs` forms a valid capacity ladder (single-core, identical up
+/// to strictly ascending SPM sizes) and the analytic back end is on, each
+/// candidate is emitted once per distinct blocking signature and replayed
+/// at every matching rung; otherwise this falls back to per-config
+/// simulation.
+pub fn simulate_model_ladder(
+    model: &Model,
+    configs: &[NpuConfig],
+    technique: Technique,
+    options: &SimOptions,
+) -> Vec<ModelReport> {
+    match Rungs::ladder(configs, options) {
+        Some(rungs) => model_reports(model, &rungs, technique, options),
+        None => (configs.iter())
+            .map(|c| simulate_model_with(model, c, technique, options))
+            .collect(),
     }
 }
 
@@ -1873,45 +1004,69 @@ mod tests {
     }
 
     #[test]
+    fn candidate_order_is_pinned() {
+        // The winner's `(cycles, index)` tie-break depends on this order, so
+        // it must not change silently. The layer's Algorithm-1 order
+        // (Interleaved) differs from Baseline and from some sub-GEMMs'.
+        let gemm = GemmShape::new(512, 576, 256);
+        let fixed = ["Baseline", "IdealDyReuse", "Interleaved", "Interleaved"];
+        let oracle = "Interleaved DxMajor DwMajor";
+        let edge = "Interleaved Baseline Interleaved/WeightSharing2 Baseline/WeightSharing2 \
+                    DwMajor/WeightSharing4 Baseline/WeightSharing4 DwMajor/DySharing2 \
+                    Baseline/DySharing2 DwMajor/DySharing4 Baseline/DySharing4 \
+                    Interleaved/IfmapSharing2 Baseline/IfmapSharing2 Interleaved/IfmapSharing4 \
+                    Baseline/IfmapSharing4";
+        let server = "Interleaved/WeightSharing2 Baseline/WeightSharing2 DwMajor/DySharing2 \
+                      Baseline/DySharing2 Interleaved/IfmapSharing2 Baseline/IfmapSharing2";
+        for (config, partitioning) in [
+            (NpuConfig::small_edge(), edge),
+            (NpuConfig::large_server(2), server),
+        ] {
+            let rest = [oracle, partitioning];
+            let want = fixed.iter().chain(&rest);
+            for (technique, want) in Technique::ALL.into_iter().zip(want) {
+                let got: Vec<String> = candidates(gemm, 1.0, technique, false, &config)
+                    .iter()
+                    .map(|c| match c.decision.partition {
+                        None => format!("{:?}", c.decision.order),
+                        Some((s, n)) => format!("{:?}/{s:?}{n}", c.decision.order),
+                    })
+                    .collect();
+                assert_eq!(got.join(" "), *want, "{technique} on {}", config.name);
+            }
+        }
+    }
+
+    #[test]
     fn every_options_combination_selects_identically() {
-        // 16 toggle combinations on a layer with a non-trivial candidate
-        // space: same report, same decision, bit for bit. In particular the
-        // analytic fast path must reproduce the cycle engine exactly.
-        let config = NpuConfig::small_edge();
-        let gemm = dy_heavy_conv();
-        let (want, want_d) = simulate_layer_backward_with(
-            gemm,
-            1.0,
-            &config,
-            Technique::DataPartitioning,
-            false,
-            &SimOptions::sequential(),
-        );
-        for parallel in [false, true] {
-            for memoize in [false, true] {
-                for prune in [false, true] {
-                    for analytic_fast_path in [false, true] {
-                        let opts = SimOptions {
-                            parallel,
-                            memoize,
-                            prune,
-                            // Force a real pool even on a single-CPU machine.
-                            workers: 3,
-                            analytic_fast_path,
-                            ladder: false,
-                        };
-                        let (got, got_d) = simulate_layer_backward_with(
-                            gemm,
-                            1.0,
-                            &config,
-                            Technique::DataPartitioning,
-                            false,
-                            &opts,
-                        );
-                        assert_eq!(got, want, "{opts:?} diverged from the sequential path");
-                        assert_eq!(got_d, want_d, "{opts:?} picked a different candidate");
-                    }
-                }
+        // 16 toggle combinations on layers with a non-trivial candidate
+        // space: same report, same decision, bit for bit. The analytic back
+        // end must reproduce the cycle engine exactly, and pruning must
+        // keep the winner of single- and multi-core partition candidates
+        // under either back end (the last two layers each lose their
+        // winner on one config if pruning skips candidates it must not).
+        let technique = Technique::DataPartitioning;
+        let gemms = [
+            dy_heavy_conv(),
+            GemmShape::new(512, 576, 256),
+            GemmShape::new(4096, 1024, 1024),
+        ];
+        let configs = [NpuConfig::small_edge(), NpuConfig::large_server(2)];
+        for (config, gemm) in configs.iter().flat_map(|c| gemms.map(|g| (c, g))) {
+            let sequential = SimOptions::sequential();
+            let want =
+                simulate_layer_backward_with(gemm, 1.0, config, technique, false, &sequential);
+            for bits in 0..16 {
+                let opts = SimOptions {
+                    parallel: bits & 1 != 0,
+                    memoize: bits & 2 != 0,
+                    prune: bits & 4 != 0,
+                    // Force a real pool even on a single-CPU machine.
+                    workers: 3,
+                    analytic_fast_path: bits & 8 != 0,
+                };
+                let got = simulate_layer_backward_with(gemm, 1.0, config, technique, false, &opts);
+                assert_eq!(got, want, "{opts:?} diverged: {gemm} on {}", config.name);
             }
         }
     }
@@ -1921,39 +1076,31 @@ mod tests {
         // Cross-check the analytic fast path against the cycle engine over
         // every technique, forward + backward, single- and multi-core, with
         // a sparse ifmap and both first/non-first layers.
-        let slow = SimOptions {
-            analytic_fast_path: false,
-            ..SimOptions::sequential()
-        };
+        let slow = SimOptions::sequential();
         let fast = SimOptions {
             analytic_fast_path: true,
             ..SimOptions::sequential()
         };
-        for config in [
+        let gemm = GemmShape::new(1536, 320, 448);
+        let configs = [
             NpuConfig::small_edge(),
             NpuConfig::large_single_core(),
             NpuConfig::large_server(2),
-        ] {
-            let gemm = GemmShape::new(1536, 320, 448);
-            for density in [1.0, 0.37] {
-                let f_slow = simulate_layer_forward_with(gemm, density, &config, &slow);
-                let f_fast = simulate_layer_forward_with(gemm, density, &config, &fast);
-                assert_eq!(f_slow, f_fast, "forward diverged on {}", config.name);
-                for technique in Technique::ALL {
-                    for is_first in [false, true] {
-                        let (r_slow, d_slow) = simulate_layer_backward_with(
-                            gemm, density, &config, technique, is_first, &slow,
-                        );
-                        let (r_fast, d_fast) = simulate_layer_backward_with(
-                            gemm, density, &config, technique, is_first, &fast,
-                        );
-                        assert_eq!(
-                            r_slow, r_fast,
-                            "backward diverged: {technique} on {} (is_first={is_first})",
-                            config.name
-                        );
-                        assert_eq!(d_slow, d_fast, "{technique} picked a different candidate");
-                    }
+        ];
+        for (config, density) in configs.iter().flat_map(|c| [(c, 1.0), (c, 0.37)]) {
+            let forward = |o| simulate_layer_forward_with(gemm, density, config, o);
+            assert_eq!(forward(&slow), forward(&fast), "forward on {}", config.name);
+            for technique in Technique::ALL {
+                for is_first in [false, true] {
+                    let backward = |o| {
+                        simulate_layer_backward_with(gemm, density, config, technique, is_first, o)
+                    };
+                    assert_eq!(
+                        backward(&slow),
+                        backward(&fast),
+                        "{technique} on {} (is_first={is_first})",
+                        config.name
+                    );
                 }
             }
         }
@@ -1977,7 +1124,6 @@ mod tests {
         // The reference recomputes from scratch (no memo): a cache the
         // ladder itself populated must not be able to vouch for the ladder.
         let flat_opts = SimOptions {
-            ladder: false,
             memoize: false,
             ..ladder_opts
         };
@@ -2032,12 +1178,8 @@ mod tests {
         let config = NpuConfig::large_single_core();
         let gemm = GemmShape::new(6421, 127, 6337);
         let opts = SimOptions {
-            parallel: false,
             memoize: true,
-            prune: false,
-            workers: 0,
-            analytic_fast_path: false,
-            ladder: false,
+            ..SimOptions::sequential()
         };
         let first =
             simulate_layer_backward_with(gemm, 1.0, &config, Technique::Interleaving, false, &opts);

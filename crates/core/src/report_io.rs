@@ -15,7 +15,7 @@
 //! formats.
 
 use crate::observe::LayerTrace;
-use crate::pipeline::ModelReport;
+use crate::report::ModelReport;
 use igo_npu_sim::TraceEvent;
 use igo_tensor::TensorClass;
 use std::borrow::Cow;

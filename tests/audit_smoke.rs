@@ -7,7 +7,8 @@
 //! replayed with `igo-sim audit --seed S --seeds 1`.
 
 use igo_core::{
-    check_report_conservation, run_audit, BackwardBuilder, BackwardOrder, LayerTensors, TilePolicy,
+    audit_case, check_report_conservation, run_audit, AuditCase, AuditSummary, BackwardBuilder,
+    BackwardOrder, LayerTensors, TilePolicy,
 };
 use igo_npu_sim::{Engine, NpuConfig, Schedule};
 use igo_tensor::GemmShape;
@@ -27,6 +28,20 @@ fn fixed_seed_audit_batch_is_clean() {
     );
     assert_eq!(summary.cases, 48);
     assert!(summary.checks >= 5 * 48, "checks = {}", summary.checks);
+}
+
+/// `run_audit` fans its cases over the worker pool; the summary must be
+/// exactly the one built by auditing the same seeds one after another.
+#[test]
+fn pooled_audit_matches_sequential_cases() {
+    let mut want = AuditSummary::default();
+    for seed in 0x1960..0x1960 + 48 {
+        let (violations, checks) = audit_case(&AuditCase::from_seed(seed));
+        want.cases += 1;
+        want.checks += checks;
+        want.violations.extend(violations);
+    }
+    assert_eq!(run_audit(48, 0x1960).to_json(), want.to_json());
 }
 
 /// The audit must not be vacuous: corrupting a genuine engine report in a
