@@ -48,9 +48,9 @@
 
 use igo_bench::wallclock::{measure, Timing};
 use igo_core::{
-    parallel_map, run_audit, select_order, sim_cache_stats, simulate_layer_backward,
-    simulate_model, simulate_model_ladder, simulate_model_with, BackwardOrder, ModelReport,
-    SimOptions, Technique, TraceExport, DEFAULT_REUSE_POINTS,
+    check_representable, parallel_map, run_audit, select_order, sim_cache_stats,
+    simulate_layer_backward, simulate_model, simulate_model_ladder, simulate_model_with,
+    BackwardOrder, ModelReport, SimOptions, Technique, TraceExport, DEFAULT_REUSE_POINTS,
 };
 use igo_npu_sim::{analytic_run_count, engine_run_count, NpuConfig};
 use igo_tensor::GemmShape;
@@ -259,6 +259,10 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             export.add_layer(&trace);
         }
     } else if let Some(gemm) = parse::parse_mkn(target) {
+        if let Err(e) = check_representable(gemm, &config) {
+            eprintln!("{e}");
+            return usage();
+        }
         println!(
             "tracing layer {gemm} on {} under {}",
             config.name,
@@ -368,6 +372,10 @@ fn cmd_layer(args: &[String]) -> ExitCode {
         return usage();
     };
     let gemm = GemmShape::new(m, k, n);
+    if let Err(e) = check_representable(gemm, &config) {
+        eprintln!("{e}");
+        return usage();
+    }
     println!("layer {gemm} on {}", config.name);
     println!("algorithm 1 picks: {}", select_order(gemm));
     for (label, technique) in [

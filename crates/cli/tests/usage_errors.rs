@@ -1,5 +1,6 @@
-//! Bad `igo-sim sweep` input must fail as a usage error (exit code 2)
-//! before any simulation runs or any output is written.
+//! Bad `igo-sim` input, including layer shapes too large to simulate, must
+//! fail as a usage error (exit code 2) before any simulation runs or any
+//! output is written.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -68,6 +69,20 @@ fn rejected_arguments_exit_2_with_usage() {
             out_arg,
         ],
         &["layer", "1", "2", "0", "server"],
+        // About 1.9e10 accesses on 1457^3 tile ops: beyond the u32 stream
+        // positions, rejected before any emission.
+        &["layer", "65536", "65536", "65536", "edge"],
+        &["trace", "65536x65536x65536", "edge", "--out", out_arg],
+        // Axes beyond the u32 tile coordinates, and tile-op counts beyond
+        // u64 arithmetic, are rejected the same way.
+        &["layer", "18446744073709551615", "1", "1", "edge"],
+        &[
+            "trace",
+            "4294967296x4294967296x4294967296",
+            "serverx8",
+            "--out",
+            out_arg,
+        ],
         &["ladder", "nosuch", "edge"],
         &["audit", "--seeds", "0"],
     ];

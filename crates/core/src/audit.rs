@@ -37,7 +37,7 @@
 //! reproducible from its printed seed: `igo-sim audit --seed S --seeds 1`
 //! re-runs exactly the failing case.
 
-use crate::bound::backward_emission_bound;
+use crate::bound::{candidate_bound, stream_bound, streams};
 use crate::exec::{execute_backward, max_abs_diff, DenseLayer};
 use crate::parallel::parallel_map;
 use crate::partition::{
@@ -45,17 +45,17 @@ use crate::partition::{
     plan_partition_forward, PartitionScheme,
 };
 use crate::pipeline::{
-    rearranged_order, replay_cores, simulate_layer_backward_with, simulate_layer_forward_with,
-    simulate_model_ladder, EvalScratch, LayerDecision, SimOptions,
+    candidates, rearranged_order, replay_cores, simulate_layer_backward_with,
+    simulate_layer_forward_with, simulate_model_ladder, EvalScratch, LayerDecision, SimOptions,
 };
 use crate::schedule::{forward_schedule, BackwardBuilder, BackwardOrder, LayerTensors};
 use crate::select::ALMOST_SQUARE_THRESHOLD;
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    replay_multicore, run_multicore, run_sequential_partitions, AccessKind, AnalyticCollector,
-    AnalyticScratch, DramConfig, Engine, EngineScratch, EventLog, Exactness, NpuConfig, OptCache,
-    PeArray, Schedule, ScheduleOp, SimReport, StreamOp, TileKey, TraceEvent, Traffic,
+    reduction_cycles, replay_multicore, run_multicore, run_sequential_partitions, AccessKind,
+    AnalyticCollector, AnalyticScratch, DramConfig, Engine, EngineScratch, EventLog, NpuConfig,
+    OptCache, PeArray, Schedule, ScheduleOp, SimReport, StreamOp, TileKey, TraceEvent, Traffic,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
 use igo_workloads::{Layer, LayerKind, Model, ModelId};
@@ -136,11 +136,16 @@ impl AuditCase {
         };
         let technique = TECHNIQUES[rng.index(TECHNIQUES.len())];
         let is_first = rng.range_u64(0, 8) == 0;
+        // A drawn-off pool is one worker; the draws keep their order so
+        // every seed yields the case it always did.
+        let pooled = rng.range_u64(0, 2) == 1;
+        let memoize = rng.range_u64(0, 2) == 1;
+        let prune = rng.range_u64(0, 2) == 1;
+        let workers = rng.range_u64(0, 4) as usize;
         let options = SimOptions {
-            parallel: rng.range_u64(0, 2) == 1,
-            memoize: rng.range_u64(0, 2) == 1,
-            prune: rng.range_u64(0, 2) == 1,
-            workers: rng.range_u64(0, 4) as usize,
+            memoize,
+            prune,
+            workers: if pooled { workers } else { 1 },
             analytic_fast_path: rng.range_u64(0, 2) == 1,
         };
         Self {
@@ -342,10 +347,10 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
     violations.extend(check_merge_emission(case, ref_decision.order));
 
     // Analytic engine: the collector replay must be bit-identical to the
-    // cycle engine (the `Exact` tier), and the closed-form emission bound
-    // (the pruning bound) must be admissible field by field (the
-    // `LowerBound` tier).
-    checks += 1;
+    // cycle engine, and the closed-form bounds (the pruning bounds) must be
+    // admissible field by field, on the decided order's emission and on
+    // every candidate of the case's technique (two checks).
+    checks += 2;
     violations.extend(check_analytic(case, ref_decision.order));
 
     // Ladder: grouped SPM-ladder evaluation must agree with per-config
@@ -407,20 +412,19 @@ fn spec_algorithm1(gemm: GemmShape, config: &NpuConfig) -> BackwardOrder {
     }
 }
 
-/// Cross-check the analytic engine against the cycle engine on the
-/// decided order's unpartitioned emission:
+/// Cross-check the analytic engine against the cycle engine:
 ///
-/// * the [`AnalyticCollector`] replay must be tagged [`Exactness::Exact`]
-///   and reproduce [`Engine::run`]'s [`SimReport`] bit for bit (including
-///   the float-derived cycle counts). Both drive the same residency
-///   structure (`ReplayOptCache`), so this checks emission, dense-id
-///   mapping, rank packing and timelines, not victim choice: the
-///   [`OptCache`] shadow replay of [`check_report_conservation`] is the
-///   independent oracle for that;
-/// * the closed-form [`backward_emission_bound`] must be admissible field
-///   by field: compute cycles, op/MAC counts and SPM bytes exact; cycles,
-///   memory cycles, misses and per-class traffic never above the engine's;
-///   hits never below.
+/// * on the decided order's unpartitioned emission, the
+///   [`AnalyticCollector`] replay must reproduce [`Engine::run`]'s
+///   [`SimReport`] bit for bit (including the float-derived cycle counts).
+///   Both drive the same residency structure (`ReplayOptCache`), so this
+///   checks emission, dense-id mapping, rank packing and timelines, not
+///   victim choice: the [`OptCache`] shadow replay of
+///   [`check_report_conservation`] is the independent oracle for that;
+/// * on the same emission, the closed-form [`stream_bound`] must be
+///   admissible field by field ([`bound_failures`]);
+/// * every candidate of the case's technique must pass
+///   [`candidate_bound_failures`].
 fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
     let mut violations = Vec::new();
     let fail = |check: &'static str, detail: String| Violation {
@@ -441,22 +445,35 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
     builder.register_grids(&mut collector);
     builder.emit(order, case.is_first, &mut collector);
     let replayed = collector.replay(&engine, &mut AnalyticScratch::new());
-    if replayed.exactness != Exactness::Exact {
-        violations.push(fail(
-            "analytic-exactness",
-            format!("replay tagged {:?}, expected Exact", replayed.exactness),
-        ));
-    }
-    if replayed.report != report {
+    if replayed != report {
         violations.push(fail(
             "analytic-replay",
-            format!("replay {:?} != engine {report:?}", replayed.report),
+            format!("replay {replayed:?} != engine {report:?}"),
         ));
     }
 
-    let bound = backward_emission_bound(&builder, order, case.is_first, &engine)
-        .finish(&engine)
-        .report;
+    let bound = stream_bound(
+        std::slice::from_ref(&builder),
+        order,
+        case.is_first,
+        &engine,
+    );
+    for (check, detail) in bound_failures(&bound.finish(&engine), &report) {
+        violations.push(fail(check, detail));
+    }
+    let (gemm, density, config) = (case.gemm, case.density, &case.config);
+    for detail in candidate_bound_failures(gemm, density, config, case.technique, case.is_first) {
+        violations.push(fail("analytic-candidate-bound", detail));
+    }
+    violations
+}
+
+/// How a closed-form `bound` report fails admissibility against the
+/// engine's `report`, as `(check, detail)` pairs: compute cycles, op/MAC
+/// counts and SPM bytes must be exact; cycles, memory cycles, misses and
+/// per-class traffic never above the engine's; hits never below.
+fn bound_failures(bound: &SimReport, report: &SimReport) -> Vec<(&'static str, String)> {
+    let mut failures = Vec::new();
     let exact = [
         (
             "compute_cycles",
@@ -473,7 +490,7 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
     ];
     for (name, got, want) in exact {
         if got != want {
-            violations.push(fail(
+            failures.push((
                 "analytic-bound-exact-field",
                 format!("bound {name} {got} != engine {want}"),
             ));
@@ -498,14 +515,14 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
     }
     for (name, got, limit) in at_most {
         if got > limit {
-            violations.push(fail(
+            failures.push((
                 "analytic-bound-admissible",
                 format!("bound {name} {got} exceeds engine {limit}"),
             ));
         }
     }
     if bound.spm_hits < report.spm_hits {
-        violations.push(fail(
+        failures.push((
             "analytic-bound-admissible",
             format!(
                 "bound hits {} below engine hits {}",
@@ -513,7 +530,94 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
             ),
         ));
     }
-    violations
+    failures
+}
+
+/// Compulsory DRAM traffic of `schedule`, counted access by access: per
+/// barrier-delimited region, each distinct tile whose first touch is a
+/// clean read is read once, and each tile touched dirty is written once.
+fn compulsory_traffic(schedule: &Schedule) -> Traffic {
+    let mut traffic = Traffic::new();
+    // Tiles touched in the current region: whether already written.
+    let mut region: HashMap<TileKey, bool> = HashMap::new();
+    for op in schedule.ops() {
+        let ScheduleOp::Gemm(g) = op else {
+            if matches!(op, ScheduleOp::Barrier) {
+                region.clear();
+            }
+            continue;
+        };
+        let accesses = (g.reads.iter().map(|a| (a, false))).chain(g.acc.iter().map(|a| (a, true)));
+        for (access, dirty) in accesses {
+            let class = schedule.class_of(access.key.tensor);
+            let written = region.entry(access.key).or_insert_with(|| {
+                if !dirty {
+                    traffic.add_read(class, access.bytes);
+                }
+                false
+            });
+            if dirty && !*written {
+                traffic.add_write(class, access.bytes);
+                *written = true;
+            }
+        }
+    }
+    traffic
+}
+
+/// Check the closed-form bounds of every backward candidate of `technique`
+/// for layer `gemm` on `config`; returns one line per failure. Each
+/// candidate is materialised as the schedules it executes: one chained
+/// stream on a single core, one stream per core otherwise. Per stream, the
+/// [`stream_bound`] over the candidate's builders must be admissible field
+/// by field against [`Engine::run`] ([`bound_failures`]), and its per-class
+/// compulsory read and write bytes must equal [`compulsory_traffic`]'s
+/// count over the schedule. The [`candidate_bound`] must not exceed the
+/// candidate's simulated cycles.
+pub(crate) fn candidate_bound_failures(
+    gemm: GemmShape,
+    density: f64,
+    config: &NpuConfig,
+    technique: Technique,
+    is_first: bool,
+) -> Vec<String> {
+    let (policy, engine) = (TilePolicy::for_config(config), Engine::new(config));
+    let mut failures = Vec::new();
+    for cand in candidates(gemm, density, technique, is_first, config) {
+        let (order, label) = (cand.decision.order, format!("{:?}", cand.decision));
+        let builders = cand.builders(gemm, density, policy);
+        let (schedules, reduction) = cand.schedules(gemm, density, is_first, config);
+        if streams(&builders, config).len() != schedules.len() {
+            failures.push(format!("{label}: builder streams do not match schedules"));
+        }
+        let mut slowest = 0;
+        for (stream, schedule) in streams(&builders, config).zip(&schedules) {
+            let report = engine.run(schedule);
+            slowest = slowest.max(report.cycles);
+            let bound = stream_bound(stream, order, is_first, &engine).finish(&engine);
+            for (check, detail) in bound_failures(&bound, &report) {
+                failures.push(format!("{label}: {check}: {detail}"));
+            }
+            let count = compulsory_traffic(schedule);
+            for class in TensorClass::ALL {
+                let (read, written) = (bound.traffic.read(class), bound.traffic.write(class));
+                if (read, written) != (count.read(class), count.write(class)) {
+                    failures.push(format!(
+                        "{label}: {} compulsory read/write {read}/{written} != counted {}/{}",
+                        class.label(),
+                        count.read(class),
+                        count.write(class)
+                    ));
+                }
+            }
+        }
+        let cycles = slowest + reduction_cycles(config, reduction);
+        let bound = candidate_bound(&builders, order, is_first, reduction, config, &engine);
+        if bound > cycles {
+            failures.push(format!("{label}: bound {bound} exceeds simulated {cycles}"));
+        }
+    }
+    failures
 }
 
 /// Salt for the ladder-drawing rng: the check derives its randomness from
@@ -549,10 +653,9 @@ fn check_ladder(case: &AuditCase) -> Vec<Violation> {
         .map(|&bytes| case.config.clone().with_spm_bytes(bytes))
         .collect();
     let options = SimOptions {
-        parallel: false,
         memoize: rng.range_u64(0, 2) == 1,
         prune: true,
-        workers: 0,
+        workers: 1,
         analytic_fast_path: true,
     };
     let layer = Layer {

@@ -26,27 +26,24 @@
 //!   can materialise for free (accumulators on their first region touch)
 //!   are excluded.
 //!
-//! Every bound here is *admissible* with respect to [`Engine::run`] — the
-//! audit fuzzes this field by field — which is what makes it safe for
-//! candidate pruning: a candidate whose bound exceeds the incumbent's
-//! simulated cycles can be discarded without emission or replay.
+//! Every candidate's bound comes from one walker, [`stream_bound`], over the
+//! candidate's own builders and the region table of
+//! [`BackwardOrder::regions`]: a single-core candidate is one chained
+//! stream, a multi-core candidate one stream per core
+//! ([`candidate_bound`]). Every bound here is *admissible* with respect to
+//! [`Engine::run`] — the audit fuzzes this field by field — which is what
+//! makes it safe for candidate pruning: a candidate whose bound exceeds the
+//! incumbent's simulated cycles can be discarded without emission or
+//! replay.
 
-use crate::partition::{plan_partition_backward, PartitionScheme};
-use crate::schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
-use crate::tiling::TilePolicy;
+use crate::schedule::{BackwardBuilder, BackwardOrder};
 use igo_npu_sim::{
-    compute_sum, grid_sum, reduction_cycles, Axis, BoundAccum, Engine, GridSum, NpuConfig, TensorId,
+    compute_sum, reduction_cycles, Axis, BoundAccum, Engine, NpuConfig, StreamOp, TensorId,
 };
-use igo_tensor::{GemmShape, TensorClass, TileGrid};
+use igo_tensor::{TensorClass, TileGrid};
 
-/// Closed-form per-grid quantities of one layer (or one partition).
+/// Closed-form tile counts and compute of one builder.
 struct Grids {
-    /// `dY` grid sums (no density).
-    dy: GridSum,
-    /// `W`/`dW` grid sums (no density).
-    w: GridSum,
-    /// `X`/`dX` grid sums at the raw-layout density.
-    x: GridSum,
     mt: u64,
     kt: u64,
     nt: u64,
@@ -79,12 +76,8 @@ fn col_axis(grid: &TileGrid) -> Axis {
 }
 
 fn grids(b: &BackwardBuilder, engine: &Engine) -> Grids {
-    let dtype = b.policy().dtype;
     let (dy_g, x_g, w_g) = (b.dy_grid(), b.x_grid(), b.w_grid());
     Grids {
-        dy: grid_sum(dy_g, dtype, None),
-        w: grid_sum(w_g, dtype, None),
-        x: grid_sum(x_g, dtype, Some(b.density())),
         mt: dy_g.rows() as u64,
         kt: x_g.cols() as u64,
         nt: dy_g.cols() as u64,
@@ -97,117 +90,133 @@ fn grids(b: &BackwardBuilder, engine: &Engine) -> Grids {
     }
 }
 
-/// One barrier-delimited region's compulsory terms, accumulated into `acc`.
-/// `reads` lists the distinct clean-read grids first touched here, `accs`
-/// the accumulator grids (touched dirty: misses and write-backs, no reads).
-fn region(acc: &mut BoundAccum, reads: &[(TensorClass, GridSum)], accs: &[(TensorClass, GridSum)]) {
-    for (class, g) in reads {
-        acc.traffic.add_read(*class, g.bytes);
-        acc.mem_bytes += g.bytes;
-        acc.bursts += g.tiles;
-        acc.misses += g.tiles;
+/// Accumulate the order-independent exact terms of one builder's emission:
+/// compute cycles, op/MAC/access counts and SPM bytes touched.
+fn exact_terms(
+    acc: &mut BoundAccum,
+    b: &BackwardBuilder,
+    g: &Grids,
+    order: BackwardOrder,
+    is_first: bool,
+) {
+    let ops = g.mt * g.kt * g.nt;
+    let bytes = |role| b.grid_sum(role).bytes;
+    let (dy, w, x) = (
+        bytes(TensorClass::OutGrad),
+        bytes(TensorClass::Weight),
+        bytes(TensorClass::Ifmap),
+    );
+    if is_first {
+        // First layer: the dW pass only, elision never applied.
+        acc.compute_cycles += g.dw_compute;
+        acc.gemm_ops += ops;
+        acc.macs += b.gemm().macs();
+        acc.accesses += 3 * ops;
+        acc.spm_bytes_touched += g.nt * x + g.kt * dy + g.mt * w;
+        return;
     }
-    for (class, g) in accs {
-        acc.traffic.add_write(*class, g.bytes);
-        acc.mem_bytes += g.bytes;
-        acc.misses += g.tiles;
+    let elide = order == BackwardOrder::IdealDyReuse;
+    acc.compute_cycles += g.dx_compute + g.dw_compute;
+    acc.gemm_ops += 2 * ops;
+    acc.macs += b.gemm().backward_macs();
+    acc.accesses += 3 * ops + if elide { 2 } else { 3 } * ops;
+    // Every order emits the same op multiset: the dX family touches
+    // kt·ΣdY + mt·ΣW + nt·ΣdX bytes, the dW family nt·ΣX (+ kt·ΣdY unless
+    // elided) + mt·ΣdW.
+    acc.spm_bytes_touched += g.kt * dy + g.mt * w + g.nt * x;
+    acc.spm_bytes_touched += g.nt * x + g.mt * w;
+    if !elide {
+        acc.spm_bytes_touched += g.kt * dy;
     }
 }
 
-/// Admissible lower bound for one unpartitioned backward emission
-/// (`builder.emit(order, is_first, …)`), against `engine`'s machine model.
-pub fn backward_emission_bound(
-    builder: &BackwardBuilder,
+/// Admissible bound terms of one single-core stream: `builders` emitted in
+/// `order` back to back, as partition segments chain, with no barrier
+/// between them (a plain emission is a chain of one).
+///
+/// The stream's regions are the builders' [`BackwardOrder::regions`] in
+/// order, except that a segment's last region merges with the next
+/// segment's first. The SPM is cleared at every barrier, so in each merged
+/// region every tensor id it touches is compulsory once: each tile read
+/// clean is fetched, and each accumulator tile materialises without a fetch
+/// and is written back. A chain of one also pays the fused sweeps' capacity
+/// window floor ([`fused_window_bytes`]).
+pub fn stream_bound(
+    builders: &[BackwardBuilder],
     order: BackwardOrder,
     is_first: bool,
     engine: &Engine,
 ) -> BoundAccum {
     let mut acc = BoundAccum::default();
-    accumulate_backward(&mut acc, builder, order, is_first, engine, true);
+    // Ids already counted in the current merged region.
+    let mut counted: Vec<TensorId> = Vec::new();
+    for b in builders {
+        let g = grids(b, engine);
+        exact_terms(&mut acc, b, &g, order, is_first);
+        for (i, region) in order.regions(is_first).iter().enumerate() {
+            if i > 0 {
+                counted.clear(); // a barrier inside the segment
+            }
+            let roles = (region.reads.iter().map(|&r| (r, true)))
+                .chain(region.accs.iter().map(|&r| (r, false)));
+            for (role, read) in roles {
+                let id = b.tensors().of(role);
+                if counted.contains(&id) {
+                    continue;
+                }
+                counted.push(id);
+                let sum = b.grid_sum(role);
+                acc.mem_bytes += sum.bytes;
+                acc.misses += sum.tiles;
+                if read {
+                    acc.traffic.add_read(role, sum.bytes);
+                    acc.bursts += sum.tiles;
+                } else {
+                    acc.traffic.add_write(role, sum.bytes);
+                }
+            }
+        }
+        // A standalone fused sweep also pays its capacity-window floor.
+        let standalone = builders.len() == 1 && !is_first;
+        let dx_major = match order {
+            BackwardOrder::DxMajor if standalone => true,
+            BackwardOrder::DwMajor if standalone => false,
+            _ => continue,
+        };
+        let window = fused_window_bytes(b, dx_major, engine)
+            + b.grid_sum(TensorClass::InGrad).bytes
+            + b.grid_sum(TensorClass::WGrad).bytes;
+        acc.mem_bytes = acc.mem_bytes.max(window);
+    }
     acc
 }
 
-/// Accumulate one backward emission's bound terms into `acc`.
-///
-/// `cold_regions` must be true when every region of this emission starts
-/// with a cleared SPM (single emission, or any emission in a sequential
-/// chain — the chain merges the trailing region with the next segment's
-/// leading one, so per-segment compulsory terms would over-count the
-/// *shared* tensor; callers handle that by deduplicating shared grids, see
-/// [`sequential_candidate_bound`]). When false, only the order-independent
-/// exact terms (compute, ops, MACs, SPM bytes) are accumulated.
-fn accumulate_backward(
-    acc: &mut BoundAccum,
-    b: &BackwardBuilder,
+/// The streams a candidate's `builders` run as on `config`: one chain on a
+/// single core, one builder per core otherwise.
+pub fn streams<'a>(
+    builders: &'a [BackwardBuilder],
+    config: &NpuConfig,
+) -> std::slice::Chunks<'a, BackwardBuilder> {
+    builders.chunks(match config.cores {
+        1 => builders.len().max(1),
+        _ => 1,
+    })
+}
+
+/// Admissible cycle bound of one backward candidate on `config`: the
+/// slowest of its [`streams`]' [`stream_bound`]s, mirroring the engine's
+/// `max(core cycles)` makespan, plus the exact `reduction` term.
+pub fn candidate_bound(
+    builders: &[BackwardBuilder],
     order: BackwardOrder,
     is_first: bool,
+    reduction: Option<StreamOp>,
+    config: &NpuConfig,
     engine: &Engine,
-    cold_regions: bool,
-) {
-    let g = grids(b, engine);
-    let gemm = b.gemm();
-    let dy = (TensorClass::OutGrad, g.dy);
-    let w = (TensorClass::Weight, g.w);
-    let x = (TensorClass::Ifmap, g.x);
-    let dx = (TensorClass::InGrad, g.x);
-    let dw = (TensorClass::WGrad, g.w);
-    let ops = g.mt * g.kt * g.nt;
-
-    if is_first {
-        // First layer: the dW pass only, elision never applied.
-        acc.compute_cycles += g.dw_compute;
-        acc.gemm_ops += ops;
-        acc.macs += gemm.macs();
-        acc.accesses += 3 * ops;
-        acc.spm_bytes_touched += g.nt * g.x.bytes + g.kt * g.dy.bytes + g.mt * g.w.bytes;
-        if cold_regions {
-            region(acc, &[x, dy], &[dw]);
-        }
-        return;
-    }
-
-    let elide = order == BackwardOrder::IdealDyReuse;
-    acc.compute_cycles += g.dx_compute + g.dw_compute;
-    acc.gemm_ops += 2 * ops;
-    acc.macs += gemm.backward_macs();
-    acc.accesses += 3 * ops + if elide { 2 } else { 3 } * ops;
-    // Every order emits the same op multiset: the dX family touches
-    // kt·ΣdY + mt·ΣW + nt·ΣdX bytes, the dW family nt·ΣX (+ kt·ΣdY unless
-    // elided) + mt·ΣdW.
-    acc.spm_bytes_touched += g.kt * g.dy.bytes + g.mt * g.w.bytes + g.nt * g.x.bytes;
-    acc.spm_bytes_touched += g.nt * g.x.bytes + g.mt * g.w.bytes;
-    if !elide {
-        acc.spm_bytes_touched += g.kt * g.dy.bytes;
-    }
-    if !cold_regions {
-        return;
-    }
-
-    match order {
-        BackwardOrder::Baseline => {
-            region(acc, &[dy, w], &[dx]);
-            region(acc, &[x, dy], &[dw]);
-        }
-        BackwardOrder::IdealDyReuse => {
-            region(acc, &[dy, w], &[dx]);
-            region(acc, &[x], &[dw]);
-        }
-        BackwardOrder::Interleaved => {
-            region(acc, &[dy, w, x], &[dx, dw]);
-        }
-        BackwardOrder::DxMajor => {
-            region(acc, &[dy, w, x], &[dx, dw]);
-            acc.mem_bytes = acc
-                .mem_bytes
-                .max(fused_window_bytes(b, true, engine) + g.x.bytes + g.w.bytes);
-        }
-        BackwardOrder::DwMajor => {
-            region(acc, &[dy, w, x], &[dx, dw]);
-            acc.mem_bytes = acc
-                .mem_bytes
-                .max(fused_window_bytes(b, false, engine) + g.x.bytes + g.w.bytes);
-        }
-    }
+) -> u64 {
+    let cycles = |s| stream_bound(s, order, is_first, engine).cycles(engine);
+    let slowest = streams(builders, config).map(cycles).max().unwrap_or(0);
+    slowest + reduction_cycles(config, reduction)
 }
 
 /// The capacity-window fetch floor of one fused sweep: over the disjoint
@@ -325,175 +334,13 @@ fn fused_window_bytes(b: &BackwardBuilder, dx_major: bool, engine: &Engine) -> u
     total
 }
 
-/// Admissible cycle bound for a plain (unpartitioned) backward candidate.
-pub fn plain_candidate_bound(
-    builder: &BackwardBuilder,
-    order: BackwardOrder,
-    is_first: bool,
-    engine: &Engine,
-) -> u64 {
-    backward_emission_bound(builder, order, is_first, engine).cycles(engine)
-}
-
-/// Admissible cycle bound for a single-core sequential-partition candidate
-/// (the partitions' streams concatenate with *no* barrier between
-/// segments, so SPM residency — in particular the scheme's shared tensor —
-/// crosses partition boundaries).
-///
-/// Region structure of the concatenated stream: partition boundaries merge
-/// the previous segment's trailing region with the next segment's leading
-/// one. Rather than track the merge exactly, this bound keeps only the
-/// terms that survive any merging: the exact order-independent totals, the
-/// compulsory traffic of each partition's *private* (split) tensors — their
-/// ids are fresh per partition, so their first touches are compulsory in
-/// any region structure — and the shared tensor's grid counted exactly
-/// once (it may stay resident across every boundary). The per-region
-/// latency floor is dropped for the shared tensor accordingly.
-#[allow(clippy::too_many_arguments)]
-pub fn sequential_candidate_bound(
-    config: &NpuConfig,
-    engine: &Engine,
-    tensors: LayerTensors,
-    gemm: GemmShape,
-    density: f64,
-    policy: TilePolicy,
-    scheme: PartitionScheme,
-    parts: u64,
-    order: BackwardOrder,
-    is_first: bool,
-) -> u64 {
-    let mut next = 100_000u32; // fresh ids; never collide with layer ids
-    let mut alloc = |_class: TensorClass, _name: String| {
-        next += 1;
-        TensorId::from_raw(next)
-    };
-    let plan = plan_partition_backward(
-        &mut alloc,
-        tensors,
-        gemm,
-        density,
-        policy.dtype,
-        scheme,
-        parts,
-        is_first,
-    );
-
-    let mut acc = BoundAccum::default();
-    for (sub, t) in plan.sub_gemms.iter().zip(&plan.part_tensors) {
-        let b = BackwardBuilder::new(*sub, policy, *t).with_ifmap_density(density);
-        // Exact order-independent totals for every partition…
-        accumulate_backward(&mut acc, &b, order, is_first, engine, false);
-        // …plus compulsory traffic of the split tensors only. The dX-family
-        // accumulator (dX) and dW-family accumulator (dW) are always
-        // private; reads of a shared tensor are handled once below.
-        let g = grids(&b, engine);
-        let dy = (TensorClass::OutGrad, g.dy);
-        let w = (TensorClass::Weight, g.w);
-        let x = (TensorClass::Ifmap, g.x);
-        let dx = (TensorClass::InGrad, g.x);
-        let dw = (TensorClass::WGrad, g.w);
-        let mut reads: Vec<(TensorClass, GridSum)> = Vec::new();
-        let mut accs: Vec<(TensorClass, GridSum)> = Vec::new();
-        if is_first {
-            reads.push(x);
-            reads.push(dy);
-            accs.push(dw);
-        } else {
-            reads.push(dy);
-            reads.push(w);
-            reads.push(x);
-            accs.push(dx);
-            accs.push(dw);
-        }
-        // Drop the shared tensor from this partition's compulsory set — it
-        // may stay resident across partition boundaries. (The `dY` reads
-        // survive IdealDyReuse elision via the dX family, so they stay
-        // compulsory whenever `dY` is private.)
-        let shared = match scheme {
-            PartitionScheme::WeightSharing => TensorClass::Weight,
-            PartitionScheme::DySharing => TensorClass::Ifmap,
-            PartitionScheme::IfmapSharing => TensorClass::OutGrad,
-        };
-        reads.retain(|(class, _)| *class != shared);
-        region(&mut acc, &reads, &accs);
-    }
-
-    // The shared tensor's parent grid is read at least once overall —
-    // except weight-sharing on a first layer, whose dW-only backward never
-    // touches `W` at all.
-    let dtype = policy.dtype;
-    let tile = policy.tile;
-    let shared_sum = match scheme {
-        PartitionScheme::WeightSharing if is_first => None,
-        PartitionScheme::WeightSharing => Some((
-            TensorClass::Weight,
-            grid_sum(&gemm.dw_grid(tile), dtype, None),
-        )),
-        PartitionScheme::DySharing => Some((
-            TensorClass::Ifmap,
-            grid_sum(&gemm.dx_grid(tile), dtype, Some(density)),
-        )),
-        PartitionScheme::IfmapSharing => Some((
-            TensorClass::OutGrad,
-            grid_sum(&gemm.dy_grid(tile), dtype, None),
-        )),
-    };
-    if let Some(shared_sum) = shared_sum {
-        region(&mut acc, &[shared_sum], &[]);
-    }
-
-    acc.serial_cycles += reduction_cycles(config, plan.reduction);
-    acc.cycles(engine)
-}
-
-/// Admissible cycle bound for a multi-core partitioned candidate: the
-/// slowest core's emission bound plus the exact reduction term — mirroring
-/// `run_multicore`'s `max(core cycles) + reduction` makespan.
-#[allow(clippy::too_many_arguments)]
-pub fn multicore_candidate_bound(
-    config: &NpuConfig,
-    engine: &Engine,
-    tensors: LayerTensors,
-    gemm: GemmShape,
-    density: f64,
-    policy: TilePolicy,
-    scheme: PartitionScheme,
-    parts: u64,
-    order: BackwardOrder,
-    is_first: bool,
-) -> u64 {
-    let mut next = 100_000u32;
-    let mut alloc = |_class: TensorClass, _name: String| {
-        next += 1;
-        TensorId::from_raw(next)
-    };
-    let plan = plan_partition_backward(
-        &mut alloc,
-        tensors,
-        gemm,
-        density,
-        policy.dtype,
-        scheme,
-        parts,
-        is_first,
-    );
-    let slowest = plan
-        .sub_gemms
-        .iter()
-        .zip(&plan.part_tensors)
-        .map(|(sub, t)| {
-            let b = BackwardBuilder::new(*sub, policy, *t).with_ifmap_density(density);
-            backward_emission_bound(&b, order, is_first, engine).cycles(engine)
-        })
-        .max()
-        .unwrap_or(0);
-    slowest + reduction_cycles(config, plan.reduction)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::LayerTensors;
+    use crate::tiling::TilePolicy;
     use igo_npu_sim::Schedule;
+    use igo_tensor::GemmShape;
 
     fn setup(gemm: GemmShape, config: &NpuConfig) -> (Schedule, BackwardBuilder, Engine) {
         let mut s = Schedule::new("bound-test");
@@ -525,8 +372,9 @@ mod tests {
                         let mut s = proto.fork("emit");
                         b.emit(order, is_first, &mut s);
                         let report = engine.run(&s);
-                        let bound = backward_emission_bound(&b, order, is_first, &engine);
-                        let a = bound.finish(&engine).report;
+                        let bound =
+                            stream_bound(std::slice::from_ref(&b), order, is_first, &engine);
+                        let a = bound.finish(&engine);
                         let label = format!("{order:?} first={is_first} {gemm:?}");
                         assert_eq!(a.compute_cycles, report.compute_cycles, "{label}");
                         assert_eq!(a.gemm_ops, report.gemm_ops, "{label}");
@@ -563,12 +411,39 @@ mod tests {
         let mut s = proto.fork("dxm");
         b.emit(BackwardOrder::DxMajor, false, &mut s);
         let report = engine.run(&s);
-        let with_window = backward_emission_bound(&b, BackwardOrder::DxMajor, false, &engine);
-        let compulsory = backward_emission_bound(&b, BackwardOrder::Interleaved, false, &engine);
+        let bound = |order| stream_bound(std::slice::from_ref(&b), order, false, &engine);
+        let with_window = bound(BackwardOrder::DxMajor);
+        let compulsory = bound(BackwardOrder::Interleaved);
         assert!(with_window.cycles(&engine) <= report.cycles);
         assert!(
             with_window.mem_bytes >= compulsory.mem_bytes,
             "window floor must not be weaker than compulsory"
         );
+    }
+
+    #[test]
+    fn every_candidate_bound_is_admissible_and_counts_compulsory_traffic() {
+        // Chained single-core partitions and per-core multi-core streams of
+        // every data-partitioning candidate, on the layers whose winners
+        // pruning must keep (see `every_options_combination_selects_identically`).
+        for config in [NpuConfig::small_edge(), NpuConfig::large_server(2)] {
+            for gemm in [
+                GemmShape::new(25088, 64, 256),
+                GemmShape::new(512, 576, 256),
+                GemmShape::new(4096, 1024, 1024),
+            ] {
+                for is_first in [false, true] {
+                    let technique = crate::technique::Technique::DataPartitioning;
+                    let failures = crate::audit::candidate_bound_failures(
+                        gemm, 1.0, &config, technique, is_first,
+                    );
+                    assert!(
+                        failures.is_empty(),
+                        "{gemm} on {} (first={is_first}): {failures:#?}",
+                        config.name
+                    );
+                }
+            }
+        }
     }
 }

@@ -52,10 +52,6 @@ pub use audit::{
     audit_case, check_merge_schedule, check_report_conservation, run_audit, AuditCase,
     AuditSummary, Violation,
 };
-pub use bound::{
-    backward_emission_bound, multicore_candidate_bound, plain_candidate_bound,
-    sequential_candidate_bound,
-};
 pub use exec::{execute_backward, execute_partitioned, DenseLayer, ExecutedGradients};
 pub use observe::{trace_layer_backward, trace_model, CoreTrace, LayerTrace};
 pub use parallel::{
@@ -63,7 +59,7 @@ pub use parallel::{
 };
 pub use partition::PartitionScheme;
 pub use pipeline::{
-    rearranged_order, simulate_layer_backward, simulate_layer_backward_ex,
+    check_representable, rearranged_order, simulate_layer_backward, simulate_layer_backward_ex,
     simulate_layer_backward_with, simulate_layer_forward, simulate_layer_forward_ex,
     simulate_layer_forward_with, simulate_model, simulate_model_ladder, simulate_model_with,
     LayerDecision, SimOptions, TrainingPhase,

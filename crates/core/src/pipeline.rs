@@ -32,9 +32,9 @@
 //! so it would lose even the index tie-break. *Memoization* serves layer
 //! results from the process-wide [`crate::simcache`]; a ladder also shares
 //! raw replays across SPM sizes through its capacity-oblivious profile
-//! memo. *Parallelism* fans a model's layers out over [`crate::parallel`].
+//! memo. *Workers* fan a model's layers out over [`crate::parallel`].
 
-use crate::bound::{multicore_candidate_bound, plain_candidate_bound, sequential_candidate_bound};
+use crate::bound::{candidate_bound, stream_bound, streams};
 use crate::parallel::parallel_map_workers;
 use crate::partition::{
     fast_layer_tensors, fresh_ids, partition_backward_ex, partition_forward_ex,
@@ -52,7 +52,8 @@ use crate::tiling::TilePolicy;
 use igo_npu_sim::{
     reduction_cycles, replay_multicore, run_multicore, run_sequential_partitions,
     sequential_combined, AnalyticCollector, AnalyticScratch, Engine, EngineScratch,
-    MultiCoreReport, NpuConfig, Schedule, SimReport, StreamOp,
+    MultiCoreReport, NpuConfig, Schedule, SimReport, StreamOp, TensorId, MAX_STREAM_POSITIONS,
+    MAX_TILE_IDS,
 };
 use igo_tensor::GemmShape;
 use igo_workloads::{Layer, Model};
@@ -73,17 +74,15 @@ pub enum TrainingPhase {
 /// compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Evaluate a model's layers on a worker pool.
-    pub parallel: bool,
     /// Serve repeated layer simulations from the process-wide memo cache.
     pub memoize: bool,
     /// Visit candidates in ascending closed-form bound order, skipping or
     /// aborting those the running best proves dominated.
     pub prune: bool,
-    /// Worker-pool size; `0` means one worker per hardware thread (or the
-    /// `IGO_SIM_THREADS` override). Only meaningful when `parallel` is set
-    /// (tests force a pool larger than the machine to exercise
-    /// cross-thread determinism).
+    /// Worker-pool size for a model's layers: `1` evaluates them in order
+    /// on the calling thread, `0` means one worker per hardware thread (or
+    /// the `IGO_SIM_THREADS` override). Tests force a pool larger than the
+    /// machine to exercise cross-thread determinism.
     pub workers: usize,
     /// Evaluate candidates by analytic replay instead of materialising
     /// [`Schedule`]s for the cycle engine. Only the analytic back end
@@ -95,7 +94,6 @@ impl SimOptions {
     /// All optimizations on (the default).
     pub const fn optimized() -> Self {
         Self {
-            parallel: true,
             memoize: true,
             prune: true,
             workers: 0,
@@ -107,10 +105,9 @@ impl SimOptions {
     /// engine only.
     pub const fn sequential() -> Self {
         Self {
-            parallel: false,
             memoize: false,
             prune: false,
-            workers: 0,
+            workers: 1,
             analytic_fast_path: false,
         }
     }
@@ -171,8 +168,8 @@ const FORWARD_DECISION: LayerDecision = LayerDecision {
 };
 
 /// One capacity-independent way to execute a layer pass.
-struct Choice {
-    decision: LayerDecision,
+pub(crate) struct Choice {
+    pub(crate) decision: LayerDecision,
     kind: Kind,
 }
 
@@ -183,7 +180,7 @@ struct Choice {
 /// multi-core NPU every candidate is split across the cores, an
 /// unpartitioned decision running as conventional batch (weight-sharing)
 /// data parallelism.
-fn candidates(
+pub(crate) fn candidates(
     gemm: GemmShape,
     density: f64,
     technique: Technique,
@@ -245,6 +242,64 @@ fn candidates(
             out
         }
     }
+}
+
+/// Check that the simulator can represent layer `gemm` on `config`: every
+/// stream it would emit for the layer must fit the `u32` stream-position
+/// and dense tile-id spaces of the replay and the engine. Checked in closed
+/// form, before any emission; the error names the overflowing count.
+pub fn check_representable(gemm: GemmShape, config: &NpuConfig) -> Result<(), String> {
+    let (policy, engine) = (TilePolicy::for_config(config), Engine::new(config));
+    let reject = |count: u128, what: &str, max: u64| {
+        Err(format!(
+            "layer {gemm} needs at least {count} {what} in one stream on {}; \
+             the simulator holds at most {max}",
+            config.name
+        ))
+    };
+    // Screen out layers whose counts overflow the arithmetic below. Some
+    // candidate streams each tile axis whole, so an axis beyond the id
+    // space is one stream's; and the streams of one candidate share the
+    // whole layer's six accesses per tile op among at most `cores` streams.
+    let axes = [gemm.m(), gemm.k(), gemm.n()].map(|d| u128::from(d.div_ceil(policy.tile.rows)));
+    let longest = axes.into_iter().max().unwrap_or(0);
+    if longest > u128::from(MAX_TILE_IDS) {
+        return reject(longest, "tile ids", MAX_TILE_IDS);
+    }
+    let per_core = 6 * axes.iter().product::<u128>() / u128::from(config.cores);
+    if per_core > u128::from(MAX_STREAM_POSITIONS) {
+        return reject(per_core, "stream positions", MAX_STREAM_POSITIONS);
+    }
+    // A non-first layer's data-partitioning candidates cover the streams of
+    // every technique's candidates, and of the forward pass (half the
+    // accesses over the same builders).
+    for cand in candidates(gemm, 1.0, Technique::DataPartitioning, false, config) {
+        let order = cand.decision.order;
+        let builders = cand.builders(gemm, 1.0, policy);
+        for stream in streams(&builders, config) {
+            let barriers = (stream.len() * (order.regions(false).len() - 1)) as u64;
+            let positions = stream_bound(stream, order, false, &engine).accesses + barriers;
+            // Dense ids cover each distinct tensor the stream registers.
+            let (mut ids, mut tiles) = (Vec::<TensorId>::new(), 0u64);
+            for b in stream {
+                for role in LayerTensors::ROLES {
+                    if !ids.contains(&b.tensors().of(role)) {
+                        ids.push(b.tensors().of(role));
+                        tiles += b.grid(role).num_tiles();
+                    }
+                }
+            }
+            for (count, what, max) in [
+                (positions, "stream positions", MAX_STREAM_POSITIONS),
+                (tiles, "tile ids", MAX_TILE_IDS),
+            ] {
+                if count > max {
+                    return reject(count.into(), what, max);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The forward pass as a one-candidate list: one stream on a single core,
@@ -324,32 +379,50 @@ impl Choice {
         }
     }
 
-    /// One builder per stream, tiled by `policy`.
-    fn builders(&self, p: &Point, policy: TilePolicy) -> Vec<BackwardBuilder> {
-        let build = |g, t| BackwardBuilder::new(g, policy, t).with_ifmap_density(p.density);
+    /// One builder per partition (the whole layer when plain) of a layer
+    /// with forward shape `gemm` and ifmap `density`, tiled by `policy`.
+    pub(crate) fn builders(
+        &self,
+        gemm: GemmShape,
+        density: f64,
+        policy: TilePolicy,
+    ) -> Vec<BackwardBuilder> {
+        let build = |g, t| BackwardBuilder::new(g, policy, t).with_ifmap_density(density);
         match &self.kind {
-            Kind::Plain => vec![build(p.gemm, fast_layer_tensors())],
+            Kind::Plain => vec![build(gemm, fast_layer_tensors())],
             Kind::Partitioned { plan, .. } => (plan.sub_gemms.iter().zip(&plan.part_tensors))
                 .map(|(&g, &t)| build(g, t))
                 .collect(),
         }
     }
 
+    /// The schedules this backward candidate executes on `config`, plus the
+    /// reduction ([`decision_schedules`]). Partitions are rebuilt from the
+    /// requested part count, as the candidate's plan was.
+    pub(crate) fn schedules(
+        &self,
+        gemm: GemmShape,
+        density: f64,
+        is_first: bool,
+        config: &NpuConfig,
+    ) -> (Vec<Schedule>, Option<StreamOp>) {
+        let partition = match self.kind {
+            Kind::Plain => None,
+            Kind::Partitioned { scheme, parts, .. } => Some((scheme, parts)),
+        };
+        let decision = LayerDecision {
+            partition,
+            ..self.decision
+        };
+        decision_schedules(gemm, density, config, decision, is_first, "l")
+    }
+
     /// Closed-form admissible bound on this backward candidate's cycles on
     /// `config` ([`crate::bound`]).
     fn bound(&self, p: &Point, config: &NpuConfig, engine: &Engine) -> u64 {
-        let (order, policy) = (self.decision.order, TilePolicy::for_config(config));
-        let Kind::Partitioned { scheme, parts, .. } = self.kind else {
-            return plain_candidate_bound(&self.builders(p, policy)[0], order, p.is_first, engine);
-        };
-        let bound = match config.cores {
-            1 => sequential_candidate_bound,
-            _ => multicore_candidate_bound,
-        };
-        let (t, gemm, density) = (fast_layer_tensors(), p.gemm, p.density);
-        bound(
-            config, engine, t, gemm, density, policy, scheme, parts, order, p.is_first,
-        )
+        let builders = self.builders(p.gemm, p.density, TilePolicy::for_config(config));
+        let (order, reduction) = (self.decision.order, self.reduction());
+        candidate_bound(&builders, order, p.is_first, reduction, config, engine)
     }
 
     /// Identity of this candidate's raw stream in the capacity-oblivious
@@ -447,7 +520,7 @@ fn replay_candidate(
     let policy = |r: usize| TilePolicy::for_config(&rungs.configs[r]);
     if rungs.configs[0].cores > 1 {
         for &(r, cutoff) in reps {
-            let builders = cand.builders(p, policy(r));
+            let builders = cand.builders(p.gemm, p.density, policy(r));
             let step = replay_cores(&rungs.configs[r], &builders, emit, reduction, cutoff, s);
             if let Some(step) = step {
                 done(r, None, step.combined());
@@ -457,7 +530,7 @@ fn replay_candidate(
     }
     let mut groups: Vec<(Vec<EmissionSig>, Vec<BackwardBuilder>, Vec<usize>)> = Vec::new();
     for (i, &(r, _)) in reps.iter().enumerate() {
-        let builders = cand.builders(p, policy(r));
+        let builders = cand.builders(p.gemm, p.density, policy(r));
         let sig: Vec<EmissionSig> = builders.iter().map(|b| p.signature(order, b)).collect();
         match groups.iter_mut().find(|(g, ..)| *g == sig) {
             Some((.., members)) => members.push(i),
@@ -474,8 +547,8 @@ fn replay_candidate(
             // The selection loop only hands out cutoffs covering the reduction.
             let inner = cutoff.map(|c| c - reduction_cycles(config, reduction));
             if let Some(raw) = c.replay_bounded(&rungs.engines[r], &mut s.replay, inner) {
-                let combined = sequential_combined(config, raw.report, reduction);
-                done(r, Some(raw.report), combined);
+                let combined = sequential_combined(config, raw, reduction);
+                done(r, Some(raw), combined);
             }
         }
     }
@@ -539,19 +612,7 @@ fn run_candidate(cand: &Choice, p: &Point, config: &NpuConfig, s: &mut EngineScr
             };
             (schedules, None)
         }
-        // Partitions are rebuilt from the requested part count, as the
-        // candidate's plan was.
-        (Pass::Backward(_), Kind::Plain) => {
-            decision_schedules(p.gemm, p.density, config, cand.decision, p.is_first, "l")
-        }
-        (Pass::Backward(_), &Kind::Partitioned { scheme, parts, .. }) => {
-            let partition = Some((scheme, parts));
-            let decision = LayerDecision {
-                partition,
-                ..cand.decision
-            };
-            decision_schedules(p.gemm, p.density, config, decision, p.is_first, "l")
-        }
+        (Pass::Backward(_), _) => cand.schedules(p.gemm, p.density, p.is_first, config),
     };
     match config.cores {
         1 => run_sequential_partitions(config, &schedules, reduction, s),
@@ -780,7 +841,7 @@ pub fn simulate_layer_backward_with(
 }
 
 /// One report per rung, each keeping the model's layer order; independent
-/// layers run concurrently when `options.parallel` is set.
+/// layers run concurrently on `options.workers` workers.
 fn model_reports(
     model: &Model,
     rungs: &Rungs,
@@ -803,11 +864,8 @@ fn model_reports(
             })
             .collect::<Vec<_>>()
     };
-    let per_layer: Vec<Vec<LayerOutcome>> = if options.parallel {
-        parallel_map_workers(&model.layers, options.workers, || (), |(), l| outcomes(l))
-    } else {
-        model.layers.iter().map(outcomes).collect()
-    };
+    let per_layer: Vec<Vec<LayerOutcome>> =
+        parallel_map_workers(&model.layers, options.workers, || (), |(), l| outcomes(l));
     let mut reports: Vec<ModelReport> = (rungs.configs.iter())
         .map(|config| ModelReport {
             model: model.name.clone(),
@@ -1058,11 +1116,10 @@ mod tests {
                 simulate_layer_backward_with(gemm, 1.0, config, technique, false, &sequential);
             for bits in 0..16 {
                 let opts = SimOptions {
-                    parallel: bits & 1 != 0,
                     memoize: bits & 2 != 0,
                     prune: bits & 4 != 0,
-                    // Force a real pool even on a single-CPU machine.
-                    workers: 3,
+                    // A real pool even on a single-CPU machine, or none.
+                    workers: if bits & 1 != 0 { 3 } else { 1 },
                     analytic_fast_path: bits & 8 != 0,
                 };
                 let got = simulate_layer_backward_with(gemm, 1.0, config, technique, false, &opts);

@@ -41,7 +41,9 @@
 //! [`forward_schedule`] emits the (technique-independent) forward pass.
 
 use crate::tiling::{Blocking, TilePolicy};
-use igo_npu_sim::{Schedule, ScheduleSink, TensorId, TileAccessSpec, TileOpSpec};
+use igo_npu_sim::{
+    grid_sum, GridSum, Schedule, ScheduleSink, TensorId, TileAccessSpec, TileOpSpec,
+};
 use igo_tensor::{DataType, GemmShape, MatrixDims, TensorClass, TileCoord, TileGrid};
 
 /// Tensor ids of one layer within a schedule.
@@ -62,6 +64,16 @@ pub struct LayerTensors {
 }
 
 impl LayerTensors {
+    /// The six roles a layer's tensors play.
+    pub const ROLES: [TensorClass; 6] = [
+        TensorClass::Ifmap,
+        TensorClass::Weight,
+        TensorClass::Ofmap,
+        TensorClass::InGrad,
+        TensorClass::WGrad,
+        TensorClass::OutGrad,
+    ];
+
     /// Register the six tensors of a layer called `name` in `schedule`.
     pub fn register(schedule: &mut Schedule, name: &str) -> Self {
         Self {
@@ -71,6 +83,23 @@ impl LayerTensors {
             dx: schedule.add_tensor(TensorClass::InGrad, format!("{name}.dX")),
             dw: schedule.add_tensor(TensorClass::WGrad, format!("{name}.dW")),
             dy: schedule.add_tensor(TensorClass::OutGrad, format!("{name}.dY")),
+        }
+    }
+
+    /// The id of the tensor playing `role`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`TensorClass::Partial`], which names no layer tensor.
+    pub fn of(&self, role: TensorClass) -> TensorId {
+        match role {
+            TensorClass::Ifmap => self.x,
+            TensorClass::Weight => self.w,
+            TensorClass::Ofmap => self.y,
+            TensorClass::InGrad => self.dx,
+            TensorClass::WGrad => self.dw,
+            TensorClass::OutGrad => self.dy,
+            TensorClass::Partial => panic!("no layer tensor plays the Partial role"),
         }
     }
 }
@@ -87,13 +116,15 @@ struct GridCosts {
     bytes: [[u64; 2]; 2],
     last_row: u32,
     last_col: u32,
+    /// The raw-layout density scaling the bytes, if any.
+    density: Option<f64>,
 }
 
 impl GridCosts {
-    /// Tables for `grid` at `dtype`, with each variant's DRAM bytes mapped
-    /// through `cost` (identity for dense tensors, the raw-layout density
-    /// scaling for `X`/`dX`).
-    fn new(grid: &TileGrid, dtype: DataType, cost: impl Fn(u64) -> u64) -> Self {
+    /// Tables for `grid` at `dtype`, each variant's DRAM bytes scaled to
+    /// `max(ceil(bytes · density), 4)` when a raw-layout `density` is given
+    /// (`X`/`dX`) and left as they are otherwise.
+    fn new(grid: &TileGrid, dtype: DataType, density: Option<f64>) -> Self {
         let rr = [0, grid.rows() - 1];
         let cc = [0, grid.cols() - 1];
         let mut dims = [[MatrixDims::new(1, 1); 2]; 2];
@@ -102,7 +133,10 @@ impl GridCosts {
             for (b, &c) in cc.iter().enumerate() {
                 let d = grid.tile_dims(TileCoord::new(r, c));
                 dims[a][b] = d;
-                bytes[a][b] = cost(d.bytes(dtype));
+                bytes[a][b] = match density {
+                    Some(density) => ((d.bytes(dtype) as f64 * density).ceil() as u64).max(4),
+                    None => d.bytes(dtype),
+                };
             }
         }
         Self {
@@ -110,6 +144,7 @@ impl GridCosts {
             bytes,
             last_row: grid.rows() - 1,
             last_col: grid.cols() - 1,
+            density,
         }
     }
 
@@ -148,9 +183,9 @@ impl BackwardBuilder {
         Self {
             gemm,
             policy,
-            dy_costs: GridCosts::new(&dy_grid, policy.dtype, |b| b),
-            x_costs: GridCosts::new(&x_grid, policy.dtype, |b| b),
-            w_costs: GridCosts::new(&w_grid, policy.dtype, |b| b),
+            dy_costs: GridCosts::new(&dy_grid, policy.dtype, None),
+            x_costs: GridCosts::new(&x_grid, policy.dtype, None),
+            w_costs: GridCosts::new(&w_grid, policy.dtype, None),
             dy_grid,
             x_grid,
             w_grid,
@@ -174,9 +209,7 @@ impl BackwardBuilder {
     pub fn with_ifmap_density(mut self, density: f64) -> Self {
         assert!(density > 0.0 && density <= 1.0, "density must be in (0,1]");
         self.ifmap_density = density;
-        self.x_costs = GridCosts::new(&self.x_grid, self.policy.dtype, |b| {
-            ((b as f64 * density).ceil() as u64).max(4)
-        });
+        self.x_costs = GridCosts::new(&self.x_grid, self.policy.dtype, Some(density));
         self
     }
 
@@ -222,18 +255,50 @@ impl BackwardBuilder {
         &self.w_grid
     }
 
+    /// Tile grid and DRAM byte costs of the tensor playing `role`: `Y`
+    /// shares the `dY` grid, `dW` the `W` grid, `dX` the `X` grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`TensorClass::Partial`], which names no layer tensor.
+    fn role_grid(&self, role: TensorClass) -> (&TileGrid, &GridCosts) {
+        match role {
+            TensorClass::OutGrad | TensorClass::Ofmap => (&self.dy_grid, &self.dy_costs),
+            TensorClass::Weight | TensorClass::WGrad => (&self.w_grid, &self.w_costs),
+            TensorClass::Ifmap | TensorClass::InGrad => (&self.x_grid, &self.x_costs),
+            TensorClass::Partial => panic!("no layer tensor plays the Partial role"),
+        }
+    }
+
+    /// Tile grid of the tensor playing `role`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`TensorClass::Partial`], which names no layer tensor.
+    pub fn grid(&self, role: TensorClass) -> &TileGrid {
+        self.role_grid(role).0
+    }
+
+    /// Tile count and DRAM bytes of the whole grid of the tensor playing
+    /// `role`, at the per-tile bytes the emission charges (the raw-layout
+    /// density included for `X`/`dX`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`TensorClass::Partial`], which names no layer tensor.
+    pub fn grid_sum(&self, role: TensorClass) -> GridSum {
+        let (grid, costs) = self.role_grid(role);
+        grid_sum(grid, self.policy.dtype, costs.density)
+    }
+
     /// Register this layer's tile grids with an analytic collector: the
     /// dense tile-id registry needs each touched tensor's grid extent
-    /// before emission starts. `Y` shares the `dY` grid; registering
-    /// tensors the emission never touches is harmless.
+    /// before emission starts. Registering tensors the emission never
+    /// touches (`Y`) is harmless.
     pub fn register_grids(&self, collector: &mut igo_npu_sim::analytic::AnalyticCollector) {
-        let t = self.tensors;
-        collector.register_tensor(t.dy, TensorClass::OutGrad, &self.dy_grid);
-        collector.register_tensor(t.w, TensorClass::Weight, &self.w_grid);
-        collector.register_tensor(t.x, TensorClass::Ifmap, &self.x_grid);
-        collector.register_tensor(t.dx, TensorClass::InGrad, &self.x_grid);
-        collector.register_tensor(t.dw, TensorClass::WGrad, &self.w_grid);
-        collector.register_tensor(t.y, TensorClass::Ofmap, &self.dy_grid);
+        for role in LayerTensors::ROLES {
+            collector.register_tensor(self.tensors.of(role), role, self.grid(role));
+        }
     }
 
     /// M-tile count.
@@ -605,6 +670,55 @@ impl BackwardBuilder {
     }
 }
 
+/// One barrier-delimited region of a backward emission: the tensor roles
+/// (named by their [`TensorClass`]) it reads clean and the roles it
+/// accumulates. A region that touches a role touches every tile of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Region {
+    /// Operands read clean.
+    pub reads: &'static [TensorClass],
+    /// Accumulators (touched dirty, never fetched on first touch).
+    pub accs: &'static [TensorClass],
+}
+
+impl BackwardOrder {
+    /// The regions of [`BackwardBuilder::emit`]`(self, is_first, _)` in
+    /// stream order, one barrier between consecutive regions. The baseline
+    /// orders run the `dX` and `dW` kernels in two regions (the ideal-reuse
+    /// study's `dW` region reads no `dY`); the fused orders are one region;
+    /// a first layer is the `dW` region alone.
+    pub fn regions(self, is_first: bool) -> &'static [Region] {
+        use TensorClass::{Ifmap as X, InGrad as DX, OutGrad as DY, WGrad as DW, Weight as W};
+        const DX_PASS: Region = Region {
+            reads: &[DY, W],
+            accs: &[DX],
+        };
+        const DW_PASS: Region = Region {
+            reads: &[X, DY],
+            accs: &[DW],
+        };
+        if is_first {
+            return &[DW_PASS];
+        }
+        match self {
+            BackwardOrder::Baseline => &[DX_PASS, DW_PASS],
+            BackwardOrder::IdealDyReuse => &[
+                DX_PASS,
+                Region {
+                    reads: &[X],
+                    accs: &[DW],
+                },
+            ],
+            BackwardOrder::Interleaved | BackwardOrder::DxMajor | BackwardOrder::DwMajor => {
+                &[Region {
+                    reads: &[DY, W, X],
+                    accs: &[DX, DW],
+                }]
+            }
+        }
+    }
+}
+
 /// The capacity-dependent part of one backward emission, used by the
 /// capacity-ladder pipeline to prove that two SPM rungs would receive the
 /// *identical* access stream and can therefore share one emission pass.
@@ -683,11 +797,9 @@ pub fn forward_schedule<S: ScheduleSink>(
         x_grid.cols() as u64,
     );
     let blocking = Blocking::choose(mt, nt, kt, policy.capacity_tiles);
-    let y_costs = GridCosts::new(&y_grid, policy.dtype, |b| b);
-    let x_costs = GridCosts::new(&x_grid, policy.dtype, |b| {
-        ((b as f64 * ifmap_density).ceil() as u64).max(4)
-    });
-    let w_costs = GridCosts::new(&w_grid, policy.dtype, |b| b);
+    let y_costs = GridCosts::new(&y_grid, policy.dtype, None);
+    let x_costs = GridCosts::new(&x_grid, policy.dtype, Some(ifmap_density));
+    let w_costs = GridCosts::new(&w_grid, policy.dtype, None);
     for (i0, j0) in blocking.blocks(mt, nt) {
         for kk in 0..kt {
             for i in i0..(i0 + blocking.b_rows).min(mt) {
@@ -840,6 +952,47 @@ mod tests {
             distinct.len(),
             "each dY tile must be one contiguous run"
         );
+    }
+
+    #[test]
+    fn region_table_matches_emission() {
+        // Split at its barriers, every emitted stream reads and accumulates
+        // exactly the roles `BackwardOrder::regions` lists, region by region.
+        use std::collections::BTreeSet;
+        let (proto, b) = setup(GemmShape::new(257, 129, 130));
+        for order in [
+            BackwardOrder::Baseline,
+            BackwardOrder::IdealDyReuse,
+            BackwardOrder::Interleaved,
+            BackwardOrder::DxMajor,
+            BackwardOrder::DwMajor,
+        ] {
+            for is_first in [false, true] {
+                let mut s = proto.fork("regions");
+                b.emit(order, is_first, &mut s);
+                let mut got = vec![(BTreeSet::new(), BTreeSet::new())];
+                for op in s.ops() {
+                    match op {
+                        igo_npu_sim::ScheduleOp::Gemm(g) => {
+                            let (reads, accs) = got.last_mut().expect("a region is open");
+                            reads.extend(g.reads.iter().map(|r| s.class_of(r.key.tensor)));
+                            accs.extend(g.acc.iter().map(|a| s.class_of(a.key.tensor)));
+                        }
+                        igo_npu_sim::ScheduleOp::Barrier => got.push(Default::default()),
+                        igo_npu_sim::ScheduleOp::Stream(_) => {}
+                    }
+                }
+                let want: Vec<_> = (order.regions(is_first).iter())
+                    .map(|r| {
+                        (
+                            r.reads.iter().copied().collect(),
+                            r.accs.iter().copied().collect(),
+                        )
+                    })
+                    .collect();
+                assert_eq!(got, want, "{order:?} first={is_first}");
+            }
+        }
     }
 
     #[test]

@@ -62,17 +62,6 @@ impl ConfigFingerprint {
             ..Self::of(config)
         }
     }
-
-    /// Whether two fingerprints differ at most in their SPM capacity.
-    pub fn equal_sans_spm(&self, other: &Self) -> bool {
-        Self {
-            spm_bytes: 0,
-            ..*self
-        } == Self {
-            spm_bytes: 0,
-            ..*other
-        }
-    }
 }
 
 /// Which simulation of a layer the entry holds.

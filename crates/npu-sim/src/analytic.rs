@@ -6,9 +6,9 @@
 //! *mechanical*: materialising a [`crate::Schedule`] (one
 //! [`crate::TileOp`] per tile GEMM), flattening it into an access stream,
 //! and only then walking the timelines. This module removes that overhead
-//! in two tiers, each tagged with an explicit [`Exactness`]:
+//! in two tiers:
 //!
-//! * **[`Exactness::Exact`] — allocation-free replay.** An
+//! * **Exact — allocation-free replay.** An
 //!   [`AnalyticCollector`] implements [`ScheduleSink`], so the schedule
 //!   builders emit the *identical* op stream into flat buffers — 8-byte
 //!   access records and 12-byte op records — with tile ids computed
@@ -22,7 +22,7 @@
 //!   [`SimReport`] is bit-identical to the engine's — fuzz-asserted in
 //!   `core::audit`.
 //!
-//! * **[`Exactness::LowerBound`] — closed form, no emission at all.** For
+//! * **Lower bound — closed form, no emission at all.** For
 //!   candidate pruning, [`BoundAccum`] assembles an admissible lower bound
 //!   directly from grid extents: exact compute cycles / MAC / op counts
 //!   (the tile-cycle sum is separable over the three grid axes, see
@@ -36,36 +36,18 @@
 //!   the audit asserts admissibility case by case.
 //!
 //! The per-order composition of these pieces (which tensors live in which
-//! region, fused-sweep window geometry, partitioned-candidate merging)
-//! lives in `igo-core`'s `bound` module, next to the schedule builders it
+//! region, fused-sweep window geometry, chained partition segments) lives
+//! in `igo-core`'s `bound` module, next to the schedule builders it
 //! mirrors.
 
 use crate::engine::{Engine, Replacement};
-use crate::opt::{AccessRec, ReplayOptCache, BARRIER_ID, NO_USE};
+use crate::opt::{
+    AccessRec, ReplayOptCache, BARRIER_ID, MAX_STREAM_POSITIONS, MAX_TILE_IDS, NO_USE,
+};
 use crate::stats::{SimReport, Traffic};
 use crate::trace::{ScheduleSink, StreamOp, TensorId, TileOpSpec};
 use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// How an analytic result relates to the cycle engine's report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exactness {
-    /// Bit-identical to [`Engine::run`] on the same op stream.
-    Exact,
-    /// Admissible: cycles, traffic and miss count never exceed the
-    /// engine's; hit count never falls below it; compute cycles, op and
-    /// MAC counts are exact.
-    LowerBound,
-}
-
-/// An analytic evaluation: the estimated report plus its exactness tag.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyticReport {
-    /// The estimated (or exact) simulation report.
-    pub report: SimReport,
-    /// How `report` relates to the engine's.
-    pub exactness: Exactness,
-}
 
 /// Process-wide count of analytic replays, the fast-path twin of
 /// [`crate::engine_run_count`]: a replay is a full evaluation of a layer
@@ -196,7 +178,7 @@ impl AnalyticCollector {
     fn lay_out(&mut self, entry: &mut TensorEntry) {
         let base = self.dense_class.len() as u64;
         assert!(
-            base + entry.tiles < BARRIER_ID as u64,
+            base + entry.tiles <= MAX_TILE_IDS,
             "tile registry overflows the dense id space"
         );
         entry.base = base as u32;
@@ -311,7 +293,7 @@ impl AnalyticScratch {
 
 impl AnalyticCollector {
     /// Replay the collected op stream against `engine`'s machine model and
-    /// return the report, tagged [`Exactness::Exact`]: the timelines are
+    /// return the report: the timelines are
     /// advanced by the same floating-point operations in the same order as
     /// [`Engine::run`], and the replacement model makes identical
     /// decisions, so the report is bit-identical to running the engine on
@@ -322,7 +304,7 @@ impl AnalyticCollector {
     /// Panics if `engine` is configured with LRU replacement — the replay
     /// models the compiler-managed (Belady) SPM only; callers must fall
     /// back to [`Engine::run`] for the LRU ablation.
-    pub fn replay(&self, engine: &Engine, scratch: &mut AnalyticScratch) -> AnalyticReport {
+    pub fn replay(&self, engine: &Engine, scratch: &mut AnalyticScratch) -> SimReport {
         self.replay_bounded(engine, scratch, None)
             .expect("unbounded replay always completes")
     }
@@ -345,14 +327,14 @@ impl AnalyticCollector {
         engine: &Engine,
         scratch: &mut AnalyticScratch,
         cutoff: Option<u64>,
-    ) -> Option<AnalyticReport> {
+    ) -> Option<SimReport> {
         assert_eq!(
             engine.replacement(),
             Replacement::Opt,
             "analytic replay models OPT replacement only"
         );
         assert!(
-            self.stream.len() < NO_USE as usize,
+            self.stream.len() as u64 <= MAX_STREAM_POSITIONS,
             "access stream overflows the u32 position space"
         );
         ANALYTIC_RUNS.fetch_add(1, Ordering::Relaxed);
@@ -604,19 +586,16 @@ impl AnalyticCollector {
             mem_busy_total += mem_time;
         }
 
-        Some(AnalyticReport {
-            report: SimReport {
-                cycles: mem_free.max(compute_free).ceil() as u64,
-                compute_cycles: compute_cycles_total,
-                mem_cycles: mem_busy_total.ceil() as u64,
-                traffic,
-                spm_hits: opt.hits(),
-                spm_misses: opt.misses(),
-                gemm_ops,
-                macs,
-                spm_bytes_touched: self.bytes_touched,
-            },
-            exactness: Exactness::Exact,
+        Some(SimReport {
+            cycles: mem_free.max(compute_free).ceil() as u64,
+            compute_cycles: compute_cycles_total,
+            mem_cycles: mem_busy_total.ceil() as u64,
+            traffic,
+            spm_hits: opt.hits(),
+            spm_misses: opt.misses(),
+            gemm_ops,
+            macs,
+            spm_bytes_touched: self.bytes_touched,
         })
     }
 }
@@ -685,7 +664,7 @@ pub fn compute_sum(engine: &Engine, m: Axis, k: Axis, n: Axis) -> u64 {
 
 /// Accumulates the closed-form lower-bound terms of one candidate
 /// execution; [`BoundAccum::finish`] assembles the admissible
-/// [`AnalyticReport`].
+/// [`SimReport`].
 #[derive(Debug, Clone, Default)]
 pub struct BoundAccum {
     /// Exact serial compute cycles.
@@ -699,9 +678,6 @@ pub struct BoundAccum {
     /// Guaranteed fetch bursts (distinct clean first touches per region)
     /// plus non-empty stream ops — each costs one burst latency.
     pub bursts: u64,
-    /// Extra cycles serialised after the overlapped timelines (e.g.
-    /// cross-partition reductions, added exactly as the pipeline does).
-    pub serial_cycles: u64,
     /// Compulsory-miss floor (every distinct tile per region).
     pub misses: u64,
     /// Exact total tile accesses.
@@ -715,47 +691,31 @@ pub struct BoundAccum {
 }
 
 impl BoundAccum {
-    /// Merge another accumulator (independent schedule parts executed
-    /// back-to-back on one core).
-    pub fn merge(&mut self, other: &BoundAccum) {
-        self.compute_cycles += other.compute_cycles;
-        self.traffic.merge(&other.traffic);
-        self.mem_bytes += other.mem_bytes;
-        self.bursts += other.bursts;
-        self.serial_cycles += other.serial_cycles;
-        self.misses += other.misses;
-        self.accesses += other.accesses;
-        self.gemm_ops += other.gemm_ops;
-        self.macs += other.macs;
-        self.spm_bytes_touched += other.spm_bytes_touched;
-    }
-
     /// The cycle lower bound alone (for candidate pruning).
     pub fn cycles(&self, engine: &Engine) -> u64 {
         let mem = (self.mem_bytes as f64 / engine.bytes_per_cycle()
             + (self.bursts * engine.burst_latency()) as f64)
             .ceil() as u64;
-        self.compute_cycles.max(mem) + self.serial_cycles
+        self.compute_cycles.max(mem)
     }
 
-    /// Assemble the admissible report.
-    pub fn finish(&self, engine: &Engine) -> AnalyticReport {
+    /// Assemble the admissible report: cycles, memory cycles, traffic and
+    /// misses never exceed the engine's, hits never fall below them, and
+    /// compute cycles, op and MAC counts are exact.
+    pub fn finish(&self, engine: &Engine) -> SimReport {
         let mem_cycles = (self.mem_bytes as f64 / engine.bytes_per_cycle()
             + (self.bursts * engine.burst_latency()) as f64)
             .ceil() as u64;
-        AnalyticReport {
-            report: SimReport {
-                cycles: self.cycles(engine),
-                compute_cycles: self.compute_cycles,
-                mem_cycles,
-                traffic: self.traffic,
-                spm_hits: self.accesses - self.misses,
-                spm_misses: self.misses,
-                gemm_ops: self.gemm_ops,
-                macs: self.macs,
-                spm_bytes_touched: self.spm_bytes_touched,
-            },
-            exactness: Exactness::LowerBound,
+        SimReport {
+            cycles: self.cycles(engine),
+            compute_cycles: self.compute_cycles,
+            mem_cycles,
+            traffic: self.traffic,
+            spm_hits: self.accesses - self.misses,
+            spm_misses: self.misses,
+            gemm_ops: self.gemm_ops,
+            macs: self.macs,
+            spm_bytes_touched: self.spm_bytes_touched,
         }
     }
 }
@@ -810,8 +770,7 @@ mod tests {
         let e = engine();
         let expected = e.run(&s);
         let got = c.replay(&e, &mut AnalyticScratch::new());
-        assert_eq!(got.exactness, Exactness::Exact);
-        assert_eq!(got.report, expected);
+        assert_eq!(got, expected);
     }
 
     /// One 16×16 tile per grid cell over a `rows × cols`-tile matrix.

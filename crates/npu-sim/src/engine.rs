@@ -22,7 +22,9 @@
 //! available as an ablation via [`Engine::with_replacement`].
 
 use crate::config::NpuConfig;
-use crate::opt::{AccessRec, ReplayOptCache, BARRIER_ID, NO_USE};
+use crate::opt::{
+    AccessRec, ReplayOptCache, BARRIER_ID, MAX_STREAM_POSITIONS, MAX_TILE_IDS, NO_USE,
+};
 use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, TraceEvent};
 use crate::spm::SpmCache;
 use crate::stats::{SimReport, Traffic};
@@ -245,7 +247,7 @@ impl Engine {
         for (t, grid) in grids.iter_mut().enumerate() {
             let tiles = grid.rows as u64 * grid.cols as u64;
             assert!(
-                num_tiles + tiles < BARRIER_ID as u64,
+                num_tiles + tiles <= MAX_TILE_IDS,
                 "schedule tile grids overflow the dense id space"
             );
             grid.base = num_tiles as u32;
@@ -289,7 +291,7 @@ impl Engine {
         // access to the same tile (the knowledge a compiler has when
         // allocating SPM) — a dense back-scan over dense ids.
         assert!(
-            stream.len() < NO_USE as usize,
+            stream.len() as u64 <= MAX_STREAM_POSITIONS,
             "access stream of {} positions overflows the u32 next-use slots",
             stream.len()
         );

@@ -60,8 +60,8 @@ pub mod trace;
 
 pub use analysis::{reuse_distances, reuse_profile, Reuse, ReuseProfile};
 pub use analytic::{
-    analytic_run_count, compute_sum, grid_sum, AnalyticCollector, AnalyticReport, AnalyticScratch,
-    Axis, BoundAccum, Exactness, GridSum,
+    analytic_run_count, compute_sum, grid_sum, AnalyticCollector, AnalyticScratch, Axis,
+    BoundAccum, GridSum,
 };
 pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};
@@ -70,7 +70,7 @@ pub use multicore::{
     reduction_cycles, replay_multicore, replay_sequential_partitions, run_multicore,
     run_sequential_partitions, sequential_combined, MultiCoreReport,
 };
-pub use opt::{OptCache, ReplayOptCache};
+pub use opt::{OptCache, ReplayOptCache, MAX_STREAM_POSITIONS, MAX_TILE_IDS};
 pub use recorder::{
     AccessKind, ClassMetrics, DyReusePoint, EventLog, NullRecorder, Phase, Recorder,
     ReuseHistogram, RunMetrics, TileStats, TraceEvent, REUSE_BUCKETS,

@@ -230,7 +230,7 @@ pub fn replay_multicore(
     for (i, &c) in per_core.iter().enumerate() {
         let report = match per_core[..i].iter().position(|&e| std::ptr::eq(e, c)) {
             Some(j) => core_reports[j],
-            None => c.replay_bounded(&engine, scratch, inner_cutoff)?.report,
+            None => c.replay_bounded(&engine, scratch, inner_cutoff)?,
         };
         core_reports.push(report);
     }
@@ -250,13 +250,11 @@ pub fn replay_sequential_partitions(
     scratch: &mut AnalyticScratch,
     cutoff: Option<u64>,
 ) -> Option<MultiCoreReport> {
-    let report = combined
-        .replay_bounded(
-            &Engine::new(config),
-            scratch,
-            inner_cutoff(config, reduction, cutoff)?,
-        )?
-        .report;
+    let report = combined.replay_bounded(
+        &Engine::new(config),
+        scratch,
+        inner_cutoff(config, reduction, cutoff)?,
+    )?;
     Some(combine_cores(config, vec![report], reduction))
 }
 

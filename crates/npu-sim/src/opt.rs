@@ -249,6 +249,15 @@ pub(crate) const NO_USE: u32 = u32::MAX;
 /// Dense id of the kernel-boundary sentinel in a flattened access stream.
 pub(crate) const BARRIER_ID: u32 = u32::MAX;
 
+/// Most positions one flattened access stream can hold, a barrier record
+/// taking one position like an access: positions are `u32`, [`NO_USE`]
+/// reserved.
+pub const MAX_STREAM_POSITIONS: u64 = NO_USE as u64 - 1;
+
+/// Most dense tile ids the tensors of one stream can span: ids are `u32`,
+/// [`BARRIER_ID`] reserved.
+pub const MAX_TILE_IDS: u64 = BARRIER_ID as u64 - 1;
+
 /// Flag bit of [`AccessRec`]'s packed bytes marking an accumulator touch.
 const DIRTY_BIT: u32 = 1 << 31;
 
@@ -383,7 +392,7 @@ impl ReplayOptCache {
     pub fn reset(&mut self, capacity: u64, num_tiles: usize, stream_len: usize) {
         assert!(capacity > 0, "SPM residency capacity must be positive");
         assert!(
-            stream_len < NO_USE as usize,
+            stream_len as u64 <= MAX_STREAM_POSITIONS,
             "access stream of {stream_len} positions overflows the u32 next-use slots"
         );
         self.capacity = capacity;

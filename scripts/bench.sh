@@ -23,8 +23,12 @@
 #   traced         one `--trace 1` run of parent and change per workload,
 #                  for the per-layer metrics.
 #
+# Before any of that, the tier-1 suite (`cargo test -q`) of the working
+# tree runs once to warm the build and then five more times, timed.
+#
 # Writes BENCH_<BENCH_ID>.json: DESCRIPTION (what the arms are), the host,
-# every run's final JSON line tagged with arm, workload, seed and role, and
+# the tier-1 wall times with their min and median, every run's final JSON
+# line tagged with arm, workload, seed and role, and
 # per (role, workload, metric) the median and quartiles of each arm plus,
 # for paired roles, the change's wins over the parent.
 set -euo pipefail
@@ -60,6 +64,20 @@ snapshot() {
   echo "building arm $label" >&2
   cargo build --release --quiet --manifest-path "$dir/simbench/Cargo.toml"
 }
+
+# Tier-1 wall time of the working tree, warm build, five timed runs.
+echo "tier-1: warm-up run" >&2
+cargo test -q >/dev/null 2>&1
+TIER1=""
+for ((i = 0; i < 5; i++)); do
+  start="$(date +%s.%N)"
+  cargo test -q >/dev/null 2>&1
+  TIER1="$TIER1 $(echo "$start $(date +%s.%N)" | awk '{ printf "%.2f", $2 - $1 }')"
+  echo "tier-1 run $((i + 1)):${TIER1##* } s" >&2
+done
+TIER1_JSON="$(printf '%s\n' $TIER1 | sort -g | awk -v list="$(echo $TIER1 | sed 's/ /, /g')" '
+  { v[++n] = $1 }
+  END { printf "{\"command\": \"cargo test -q\", \"runs_s\": [%s], \"min_s\": %s, \"median_s\": %s}", list, v[1], v[int((n + 1) / 2)] }')"
 
 ARMS="parent"
 snapshot parent "$BASE"
@@ -167,6 +185,7 @@ WINS="$(awk -F '\t' '
   printf '{\n  "bench": "%s",\n  "description": "%s",\n  "base": "%s",\n  "arms": "%s",\n' \
     "$BENCH_ID" "$DESCRIPTION" "$(git rev-parse "$BASE")" "$ARMS"
   printf '  "host": "%s, nproc %s",\n' "$(uname -m)" "$(nproc)"
+  printf '  "tier1": %s,\n' "$TIER1_JSON"
   printf '  "command": "igo-simbench --workload W --seed S --seconds %s --trace T",\n' "$SECONDS_PER_RUN"
   printf '  "summary": [\n%s  ],\n' "$SUMMARY"
   printf '  "wins": [\n%s  ],\n' "$WINS"

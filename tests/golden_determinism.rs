@@ -19,7 +19,6 @@ use igo_workloads::{zoo, ModelId};
 /// Optimized options with a pool forced larger than one worker, so the
 /// deterministic-reduction claim is tested with real threads everywhere.
 const OPTIMIZED: SimOptions = SimOptions {
-    parallel: true,
     memoize: true,
     prune: true,
     workers: 3,
