@@ -6,8 +6,7 @@
 //! igo-sim layer   <M> <K> <N> <config>        per-order comparison of one layer
 //! igo-sim sweep   <model>                     bandwidth sweep on the large NPU
 //! igo-sim sweep   <model|zoo> --spm <ladder> [--techniques <list>]
-//!                 [--config C] [--out DIR]
-//!                 [--per-point]               SPM × technique × model grid
+//!                 [--config C] [--out DIR]    SPM × technique × model grid
 //! igo-sim perf    [edge|server|all]           pipeline self-measurement
 //! igo-sim audit   [--seeds N] [--seed S]      differential fuzz-audit
 //! igo-sim trace   <model|MxKxN> <config> [--out DIR] [--technique T]
@@ -21,11 +20,10 @@
 //! The grid form of `sweep` fans a design-space grid — SPM capacity rungs
 //! (`--spm`, MiB) × techniques × models (`zoo` sweeps the whole suite of
 //! the base config) — across the worker pool, with the analytic fast-path
-//! engine evaluating each point. On a single-core base config with two or
-//! more rungs, each `(model, technique)` pair is one task that evaluates
-//! every SPM rung, sharing each candidate's emission across the rungs it
-//! is identical on; `--per-point` makes every grid point its own task
-//! instead (results are bit-identical either way). With `--out` it writes
+//! engine evaluating each point. Each `(model, technique)` pair is one task
+//! that evaluates every SPM rung, on one core or many; on a single core it
+//! shares each candidate's emission across the rungs it is identical on.
+//! Every rung is bit-identical to sweeping it alone. With `--out` it writes
 //! `sweep.csv` and `summary.json`; otherwise both go to stdout.
 //!
 //! The global `--jobs N` flag caps the worker pool (equivalent to setting
@@ -63,7 +61,7 @@ use parse::{parse_config, parse_model};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  igo-sim [--timing] [--jobs N] models\n  igo-sim [--timing] [--jobs N] ladder <model> <edge|server|serverxN>\n  igo-sim [--timing] [--jobs N] layer <M> <K> <N> <edge|server>\n  igo-sim [--timing] [--jobs N] sweep <model>\n  igo-sim [--timing] [--jobs N] sweep <model|zoo> --spm <mib,..> [--techniques <t,..>] [--config <edge|server|serverxN>] [--out DIR] [--per-point]\n  igo-sim [--timing] [--jobs N] perf [edge|server|all]\n  igo-sim [--timing] [--jobs N] audit [--seeds N] [--seed S]\n  igo-sim [--timing] [--jobs N] trace <model|MxKxN> <edge|server|serverxN> [--out DIR] [--technique T]"
+        "usage:\n  igo-sim [--timing] [--jobs N] models\n  igo-sim [--timing] [--jobs N] ladder <model> <edge|server|serverxN>\n  igo-sim [--timing] [--jobs N] layer <M> <K> <N> <edge|server>\n  igo-sim [--timing] [--jobs N] sweep <model>\n  igo-sim [--timing] [--jobs N] sweep <model|zoo> --spm <mib,..> [--techniques <t,..>] [--config <edge|server|serverxN>] [--out DIR]\n  igo-sim [--timing] [--jobs N] perf [edge|server|all]\n  igo-sim [--timing] [--jobs N] audit [--seeds N] [--seed S]\n  igo-sim [--timing] [--jobs N] trace <model|MxKxN> <edge|server|serverxN> [--out DIR] [--technique T]"
     );
     ExitCode::from(2)
 }
@@ -462,24 +460,19 @@ fn suite_for(config: &NpuConfig) -> &'static [ModelId] {
 /// evaluated by the analytic fast-path pipeline and emitted as
 /// `sweep.csv` plus a JSON summary to `--out DIR` or stdout.
 ///
-/// On a single-core base config with a multi-rung ladder the default path
-/// fans one task per `(model, technique)` pair across the worker pool and
-/// lets [`simulate_model_ladder`] answer every rung, emitting each
-/// candidate once per distinct blocking; `--per-point` (or a multi-core
-/// config, or a single rung) falls back to one task per grid point. Row
-/// order, formats and results are identical on both paths and for every
-/// worker count.
+/// One task per `(model, technique)` pair fans across the worker pool, and
+/// [`simulate_model_ladder`] answers every rung of it, emitting each
+/// single-core candidate once per distinct blocking. Row order, formats
+/// and results are identical for every worker count.
 fn sweep_grid(args: &[String]) -> ExitCode {
     let mut config = NpuConfig::large_single_core();
     let mut spm_ladder: Option<Vec<u64>> = None;
     let mut techniques: Vec<Technique> = Technique::LADDER.to_vec();
     let mut out_dir: Option<String> = None;
-    let mut per_point = false;
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--per-point" => per_point = true,
             "--config" => match it.next().and_then(|v| parse_config(v)) {
                 Some(c) => config = c,
                 None => {
@@ -555,36 +548,29 @@ fn sweep_grid(args: &[String]) -> ExitCode {
     let analytic_before = analytic_run_count();
     let cache_before = sim_cache_stats();
     let options = SimOptions::optimized();
-    let use_ladder = !per_point && spm_ladder.len() >= 2 && config.cores == 1;
     let (reports, wall) = measure(|| {
-        if use_ladder {
-            // Ladder path: one task per (model, technique) pair answers
-            // every SPM rung. Scatter the per-rung reports back into the
-            // grid's spm-outer row order.
-            let mut tasks: Vec<(usize, Technique)> = Vec::new();
-            for mi in 0..models.len() {
-                for &t in &techniques {
-                    tasks.push((mi, t));
-                }
+        // One task per (model, technique) pair answers every SPM rung.
+        // Scatter the per-rung reports back into the grid's spm-outer row
+        // order.
+        let mut tasks: Vec<(usize, Technique)> = Vec::new();
+        for mi in 0..models.len() {
+            for &t in &techniques {
+                tasks.push((mi, t));
             }
-            let by_task = parallel_map(&tasks, |&(mi, technique)| {
-                simulate_model_ladder(&models[mi], &rungs, technique, &options)
-            });
-            let mut slots: Vec<Option<ModelReport>> = points.iter().map(|_| None).collect();
-            for (k, per_rung) in by_task.into_iter().enumerate() {
-                for (s, report) in per_rung.into_iter().enumerate() {
-                    slots[s * tasks.len() + k] = Some(report);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|r| r.expect("ladder answered every grid point"))
-                .collect()
-        } else {
-            parallel_map(&points, |&(s, mi, technique)| {
-                simulate_model_with(&models[mi], &rungs[s], technique, &options)
-            })
         }
+        let by_task = parallel_map(&tasks, |&(mi, technique)| {
+            simulate_model_ladder(&models[mi], &rungs, technique, &options)
+        });
+        let mut slots: Vec<Option<ModelReport>> = points.iter().map(|_| None).collect();
+        for (k, per_rung) in by_task.into_iter().enumerate() {
+            for (s, report) in per_rung.into_iter().enumerate() {
+                slots[s * tasks.len() + k] = Some(report);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|r| r.expect("ladder answered every grid point"))
+            .collect::<Vec<ModelReport>>()
     });
 
     let block = techniques.len();

@@ -56,7 +56,16 @@ fn rejected_arguments_exit_2_with_usage() {
             out_arg,
         ],
         &["sweep", "nosuch", "--spm", "3", "--out", out_arg],
-        &["sweep", "--per-point", "--out", out_arg],
+        &["sweep", "--out", out_arg],
+        &[
+            "sweep",
+            "bert-tiny",
+            "--spm",
+            "3",
+            "--per-point",
+            "--out",
+            out_arg,
+        ],
         &["trace", "0x4x4", "server", "--out", out_arg],
         &["trace", "res", "serverx0", "--out", out_arg],
         &[
@@ -73,6 +82,10 @@ fn rejected_arguments_exit_2_with_usage() {
         // positions, rejected before any emission.
         &["layer", "65536", "65536", "65536", "edge"],
         &["trace", "65536x65536x65536", "edge", "--out", out_arg],
+        // Inside the u32 spaces but beyond the per-stream position budget:
+        // about 5.7e8 positions in one stream, and 1e8 per core.
+        &["layer", "1", "1", "4294967297", "edge"],
+        &["trace", "65536x65536x65536", "serverx8", "--out", out_arg],
         // Axes beyond the u32 tile coordinates, and tile-op counts beyond
         // u64 arithmetic, are rejected the same way.
         &["layer", "18446744073709551615", "1", "1", "edge"],

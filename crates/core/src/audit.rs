@@ -24,9 +24,10 @@
 //! * **Algorithm 1**: the pipeline's rearrangement decision must match an
 //!   independent recomputation of the paper's selection rule from the
 //!   tensor dimensions alone.
-//! * **Ladder** (single-core cases): the SPM-ladder path over a randomly
-//!   drawn ladder, pruning on, must give every rung the forward report,
-//!   backward report and decision of per-config simulation.
+//! * **Ladder**: evaluating a randomly drawn, unsorted and possibly
+//!   repeating list of SPM rungs together, on a drawn back end with
+//!   pruning on, must give every rung the forward report, backward report
+//!   and decision of per-config simulation.
 //! * **Identical cores** (multi-core cases): replaying cores with equal
 //!   sub-GEMMs once must equal emitting and replaying every core.
 //! * **Numeric** (small dense cases): executing the decided schedule on
@@ -353,14 +354,14 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
     checks += 2;
     violations.extend(check_analytic(case, ref_decision.order));
 
-    // Ladder: grouped SPM-ladder evaluation must agree with per-config
-    // simulation at every rung of a randomly drawn ladder (single-core
-    // only: the ladder path serves single-core configs). Identical cores:
-    // reusing an equal core's report must agree with replaying every core.
+    // Ladder: evaluating a randomly drawn list of SPM rungs together must
+    // agree with per-config simulation at every rung. Identical cores
+    // (multi-core cases): reusing an equal core's report must agree with
+    // replaying every core.
     checks += 1;
-    if case.config.cores == 1 {
-        violations.extend(check_ladder(case));
-    } else {
+    violations.extend(check_ladder(case));
+    if case.config.cores > 1 {
+        checks += 1;
         violations.extend(check_identical_cores(case, &ref_decision));
     }
 
@@ -625,28 +626,28 @@ pub(crate) fn candidate_bound_failures(
 /// generation stream itself.
 const LADDER_SALT: u64 = 0x57ac_d157_a9ce_0e1d;
 
-/// Ladder-vs-per-config differential (single-core cases): a derived rng
-/// draws a 2–4 rung SPM ladder around the case's own SPM (always including
-/// it), and [`simulate_model_ladder`] over a one-layer model, with pruning
-/// on, must give every rung exactly what [`simulate_layer_forward_with`]
-/// and [`simulate_layer_backward_with`] give on that rung's config alone
-/// under the sequential reference — forward report, backward report and
-/// decision. The ladder shares emissions across rungs and replays each
-/// rung under its own cutoff, so this checks grouping, cutoff decisions
-/// and (when the draw memoizes) the capacity-oblivious memo.
+/// Ladder-vs-per-config differential: a derived rng draws an unsorted
+/// list of 2–4 SPM rungs around the case's own SPM (always including it,
+/// possibly repeating a rung) and a back end, and [`simulate_model_ladder`]
+/// over a one-layer model, with pruning on, must give every rung exactly
+/// what [`simulate_layer_forward_with`] and [`simulate_layer_backward_with`]
+/// give on that rung's config alone under the sequential reference —
+/// forward report, backward report and decision. The analytic back end
+/// shares single-core emissions across rungs and replays each rung under
+/// its own cutoff, so this checks grouping, cutoff decisions and (when the
+/// draw memoizes) the per-rung candidate memo.
 fn check_ladder(case: &AuditCase) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut rng = SplitMix64::new(case.seed ^ LADDER_SALT);
     let mut spm = vec![case.config.spm_bytes];
     for _ in 0..rng.range_u64(1, 4) {
-        // 25%..400% of the case's SPM, kept even so the per-core
-        // residency (`spm / 2`) ascends strictly with the SPM size.
-        spm.push((case.config.spm_bytes.saturating_mul(rng.range_u64(25, 401)) / 200).max(1) * 2);
-    }
-    spm.sort_unstable();
-    spm.dedup();
-    if spm.len() < 2 {
-        spm.push(spm[0] * 2);
+        // A quarter of the time repeat a drawn rung, else 25%..400% of
+        // the case's SPM.
+        let bytes = match rng.range_u64(0, 4) {
+            0 => spm[rng.index(spm.len())],
+            _ => (case.config.spm_bytes.saturating_mul(rng.range_u64(25, 401)) / 100).max(1),
+        };
+        spm.insert(rng.index(spm.len() + 1), bytes);
     }
     let configs: Vec<NpuConfig> = spm
         .iter()
@@ -656,7 +657,7 @@ fn check_ladder(case: &AuditCase) -> Vec<Violation> {
         memoize: rng.range_u64(0, 2) == 1,
         prune: true,
         workers: 1,
-        analytic_fast_path: true,
+        analytic_fast_path: rng.range_u64(0, 2) == 1,
     };
     let layer = Layer {
         name: "audit".into(),

@@ -72,8 +72,7 @@ pub use report_io::{
 pub use schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 pub use select::select_order;
 pub use simcache::{
-    set_sim_cache_cap, sim_cache_cap, sim_cache_len, sim_cache_stats, sim_profile_cache_len,
-    CacheStats, ConfigFingerprint, CACHE_CAP_ENV, DEFAULT_CACHE_CAP,
+    sim_cache_len, sim_cache_stats, CacheStats, ConfigFingerprint, CACHE_CAP_ENV, DEFAULT_CACHE_CAP,
 };
 pub use technique::Technique;
 pub use tiling::TilePolicy;

@@ -12,11 +12,13 @@
 //!   capacity-independent backward candidates (the Algorithm-1 orders of
 //!   §4.3 and the §5 partition schemes) in the fixed order whose index
 //!   breaks cycle ties; the forward pass is a one-candidate list;
-//! * **one rung evaluator** answers a slice of SPM rungs, a single config
-//!   being a one-rung ladder. Its analytic back end emits a candidate once
-//!   per group of rungs with equal emission signatures and replays it at each
-//!   ([`AnalyticCollector::replay_bounded`], bit-identical to the engine);
-//!   its oracle back end, the cycle [`Engine`] behind
+//! * **one rung evaluator** answers any list of configs equal up to SPM
+//!   size (in any order, with repeats, at any core count), a single config
+//!   being a one-rung list. Its analytic back end emits a single-core
+//!   candidate once per group of rungs with equal emission signatures and
+//!   replays it at each ([`AnalyticCollector::replay_bounded`],
+//!   bit-identical to the engine), and a multi-core candidate once per
+//!   rung; its oracle back end, the cycle [`Engine`] behind
 //!   [`SimOptions::sequential`], materialises the same candidate as
 //!   [`Schedule`]s;
 //! * **one selection loop** keeps per rung the lexicographic minimum of
@@ -29,10 +31,10 @@
 //! admissible bounds of [`crate::bound`], skips a candidate at a rung where
 //! its bound exceeds the running best, and aborts replays that provably
 //! exceed it: such a candidate's cycles strictly exceed the running best,
-//! so it would lose even the index tie-break. *Memoization* serves layer
-//! results from the process-wide [`crate::simcache`]; a ladder also shares
-//! raw replays across SPM sizes through its capacity-oblivious profile
-//! memo. *Workers* fan a model's layers out over [`crate::parallel`].
+//! so it would lose even the index tie-break. *Memoization* serves each
+//! rung's winner, and each candidate's report at each rung, from the
+//! process-wide [`crate::simcache`]. *Workers* fan a model's layers out over
+//! [`crate::parallel`].
 
 use crate::bound::{candidate_bound, stream_bound, streams};
 use crate::parallel::parallel_map_workers;
@@ -46,14 +48,14 @@ use crate::schedule::{
     LayerTensors,
 };
 use crate::select::select_order;
-use crate::simcache::{self, ConfigFingerprint, ProfilePass};
+use crate::simcache::{self, ConfigFingerprint, Entry, Stream};
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
     reduction_cycles, replay_multicore, run_multicore, run_sequential_partitions,
     sequential_combined, AnalyticCollector, AnalyticScratch, Engine, EngineScratch,
-    MultiCoreReport, NpuConfig, Schedule, SimReport, StreamOp, TensorId, MAX_STREAM_POSITIONS,
-    MAX_TILE_IDS,
+    MultiCoreReport, NpuConfig, Schedule, SimReport, StreamOp, TensorId, MAX_TILE_IDS,
+    STREAM_POSITION_BUDGET,
 };
 use igo_tensor::GemmShape;
 use igo_workloads::{Layer, Model};
@@ -85,8 +87,9 @@ pub struct SimOptions {
     /// machine to exercise cross-thread determinism.
     pub workers: usize,
     /// Evaluate candidates by analytic replay instead of materialising
-    /// [`Schedule`]s for the cycle engine. Only the analytic back end
-    /// groups the rungs of an SPM ladder onto shared emissions.
+    /// [`Schedule`]s for the cycle engine. The analytic back end emits a
+    /// single-core candidate once for all the SPM rungs that block it alike;
+    /// the engine back end materialises it once per rung.
     pub analytic_fast_path: bool,
 }
 
@@ -245,9 +248,10 @@ pub(crate) fn candidates(
 }
 
 /// Check that the simulator can represent layer `gemm` on `config`: every
-/// stream it would emit for the layer must fit the `u32` stream-position
-/// and dense tile-id spaces of the replay and the engine. Checked in closed
-/// form, before any emission; the error names the overflowing count.
+/// stream it would emit for the layer must fit the dense tile-id space of
+/// the replay and the engine, and hold at most [`STREAM_POSITION_BUDGET`]
+/// positions. Checked in closed form, before any emission; the error names
+/// the overflowing count.
 pub fn check_representable(gemm: GemmShape, config: &NpuConfig) -> Result<(), String> {
     let (policy, engine) = (TilePolicy::for_config(config), Engine::new(config));
     let reject = |count: u128, what: &str, max: u64| {
@@ -267,8 +271,8 @@ pub fn check_representable(gemm: GemmShape, config: &NpuConfig) -> Result<(), St
         return reject(longest, "tile ids", MAX_TILE_IDS);
     }
     let per_core = 6 * axes.iter().product::<u128>() / u128::from(config.cores);
-    if per_core > u128::from(MAX_STREAM_POSITIONS) {
-        return reject(per_core, "stream positions", MAX_STREAM_POSITIONS);
+    if per_core > u128::from(STREAM_POSITION_BUDGET) {
+        return reject(per_core, "stream positions", STREAM_POSITION_BUDGET);
     }
     // A non-first layer's data-partitioning candidates cover the streams of
     // every technique's candidates, and of the forward pass (half the
@@ -290,7 +294,7 @@ pub fn check_representable(gemm: GemmShape, config: &NpuConfig) -> Result<(), St
                 }
             }
             for (count, what, max) in [
-                (positions, "stream positions", MAX_STREAM_POSITIONS),
+                (positions, "stream positions", STREAM_POSITION_BUDGET),
                 (tiles, "tile ids", MAX_TILE_IDS),
             ] {
                 if count > max {
@@ -425,14 +429,13 @@ impl Choice {
         candidate_bound(&builders, order, p.is_first, reduction, config, engine)
     }
 
-    /// Identity of this candidate's raw stream in the capacity-oblivious
-    /// profile memo.
-    fn profile_pass(&self, p: &Point) -> ProfilePass {
+    /// The stream this candidate emits, its key in the memo.
+    fn stream(&self, p: &Point) -> Stream {
         let (order, is_first) = (self.decision.order, p.is_first);
         match (p.pass, &self.kind) {
-            (Pass::Forward, _) => ProfilePass::Forward,
-            (_, Kind::Plain) => ProfilePass::Plain { order, is_first },
-            (_, Kind::Partitioned { scheme, plan, .. }) => ProfilePass::Partition {
+            (Pass::Forward, _) => Stream::Forward,
+            (_, Kind::Plain) => Stream::Plain { order, is_first },
+            (_, Kind::Partitioned { scheme, plan, .. }) => Stream::Partition {
                 scheme: *scheme,
                 parts: plan.sub_gemms.len() as u64,
                 order,
@@ -501,19 +504,18 @@ pub(crate) fn replay_cores(
 }
 
 /// Analytic back end: replay `cand` at each `(rung, cutoff)` of `reps`,
-/// passing every completed replay to `done(rung, raw, combined)`. On a
-/// single core, rungs whose emission signatures coincide share one
-/// emission (partition segments concatenate with no barrier, as
-/// `Schedule::append_compatible` chains them) and `raw` is the
-/// pre-reduction report the profile memo keeps; multi-core steps go
-/// through [`replay_cores`].
+/// passing every completed replay to `done(rung, report)`. On a single
+/// core, rungs whose emission signatures coincide share one emission
+/// (partition segments concatenate with no barrier, as
+/// `Schedule::append_compatible` chains them); multi-core steps go through
+/// [`replay_cores`] rung by rung.
 fn replay_candidate(
     cand: &Choice,
     p: &Point,
     rungs: &Rungs,
     reps: &[(usize, Option<u64>)],
     s: &mut EvalScratch,
-    mut done: impl FnMut(usize, Option<SimReport>, SimReport),
+    mut done: impl FnMut(usize, SimReport),
 ) {
     let (order, reduction) = (cand.decision.order, cand.reduction());
     let emit = |b: &BackwardBuilder, c: &mut AnalyticCollector| p.emit(order, b, c);
@@ -523,7 +525,7 @@ fn replay_candidate(
             let builders = cand.builders(p.gemm, p.density, policy(r));
             let step = replay_cores(&rungs.configs[r], &builders, emit, reduction, cutoff, s);
             if let Some(step) = step {
-                done(r, None, step.combined());
+                done(r, step.combined());
             }
         }
         return;
@@ -547,8 +549,7 @@ fn replay_candidate(
             // The selection loop only hands out cutoffs covering the reduction.
             let inner = cutoff.map(|c| c - reduction_cycles(config, reduction));
             if let Some(raw) = c.replay_bounded(&rungs.engines[r], &mut s.replay, inner) {
-                let combined = sequential_combined(config, raw, reduction);
-                done(r, Some(raw), combined);
+                done(r, sequential_combined(config, raw, reduction));
             }
         }
     }
@@ -621,37 +622,31 @@ fn run_candidate(cand: &Choice, p: &Point, config: &NpuConfig, s: &mut EngineScr
     .combined()
 }
 
-/// The SPM rungs one evaluation answers: a single config, or a capacity
-/// ladder of single-core configs identical except for their strictly
-/// ascending SPM capacities.
+/// The SPM rungs one evaluation answers: configs equal up to SPM size, in
+/// any order, repeats allowed.
 struct Rungs<'a> {
     configs: &'a [NpuConfig],
     engines: Vec<Engine>,
 }
 
 impl<'a> Rungs<'a> {
-    fn single(config: &'a NpuConfig) -> Self {
-        let configs = std::slice::from_ref(config);
-        let engines = vec![Engine::new(config)];
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty or two configs differ in more than
+    /// their SPM size: rungs share emissions by [`EmissionSig`], which
+    /// covers only the capacity-dependent part of a stream.
+    fn new(configs: &'a [NpuConfig]) -> Self {
+        let fp = ConfigFingerprint::sans_spm;
+        assert!(
+            !configs.is_empty(),
+            "an evaluation needs at least one config"
+        );
+        assert!(
+            configs.iter().all(|c| fp(c) == fp(&configs[0])),
+            "rungs must be equal up to SPM size"
+        );
+        let engines = configs.iter().map(Engine::new).collect();
         Self { configs, engines }
-    }
-
-    /// `configs` as a capacity ladder, or `None` (callers simulate per
-    /// config) unless there are at least two configs, the analytic back
-    /// end is on, all configs are single-core and equal up to SPM size,
-    /// and both the SPM sizes and the derived residency capacities are
-    /// strictly ascending.
-    fn ladder(configs: &'a [NpuConfig], options: &SimOptions) -> Option<Self> {
-        let fp = |c: &NpuConfig| ConfigFingerprint::sans_spm(c);
-        let engines: Vec<Engine> = configs.iter().map(Engine::new).collect();
-        let valid = configs.len() >= 2
-            && options.analytic_fast_path
-            && configs
-                .iter()
-                .all(|c| c.cores == 1 && fp(c) == fp(&configs[0]))
-            && configs.windows(2).all(|w| w[0].spm_bytes < w[1].spm_bytes)
-            && (engines.windows(2)).all(|w| w[0].residency_bytes() < w[1].residency_bytes());
-        valid.then_some(Self { configs, engines })
     }
 }
 
@@ -667,14 +662,27 @@ fn update_best(best: &mut Option<(usize, SimReport)>, ci: usize, rep: SimReport)
 fn evaluate(p: &Point, rungs: &Rungs, options: &SimOptions) -> Vec<(SimReport, LayerDecision)> {
     let (gemm, density, is_first) = (p.gemm, p.density, p.is_first);
     let configs = rungs.configs;
-    let memo_get = |config| match p.pass {
-        _ if !options.memoize => None,
-        Pass::Forward => {
-            simcache::get_forward(gemm, density, config).map(|r| (r, FORWARD_DECISION))
-        }
-        Pass::Backward(t) => simcache::get_backward(gemm, density, config, t, is_first),
+    let get = |r: usize, entry| match options.memoize {
+        true => simcache::get(gemm, density, &configs[r], entry),
+        false => None,
     };
-    let mut done: Vec<Option<(SimReport, LayerDecision)>> = configs.iter().map(memo_get).collect();
+    let put = |r: usize, entry, value| {
+        if options.memoize {
+            simcache::put(gemm, density, &configs[r], entry, value);
+        }
+    };
+    // The forward pass has one candidate, so its candidate entry is its
+    // winner.
+    let winner = match p.pass {
+        Pass::Forward => None,
+        Pass::Backward(technique) => Some(Entry::Winner {
+            technique,
+            is_first,
+        }),
+    };
+    let mut done: Vec<Option<(SimReport, LayerDecision)>> = (0..configs.len())
+        .map(|r| winner.and_then(|e| get(r, e)))
+        .collect();
     let todo: Vec<usize> = (0..configs.len()).filter(|&r| done[r].is_none()).collect();
     if todo.is_empty() {
         return done.into_iter().flatten().collect();
@@ -684,20 +692,13 @@ fn evaluate(p: &Point, rungs: &Rungs, options: &SimOptions) -> Vec<(SimReport, L
         Pass::Backward(t) => candidates(gemm, density, t, is_first, &configs[0]),
     };
 
-    // Per rung, the running best; per candidate, the rungs the profile
-    // memo already answered and the fresh raw replays to add to it.
+    // Per rung, the running best; per candidate, the rungs the memo
+    // already answered.
     let mut best: Vec<Option<(usize, SimReport)>> = vec![None; configs.len()];
     let mut known = vec![vec![false; configs.len()]; cands.len()];
-    let mut fresh: Vec<Vec<(u64, SimReport)>> = vec![Vec::new(); cands.len()];
-    let profiled = configs.len() > 1 && options.memoize;
-    for (ci, cand) in cands.iter().enumerate().filter(|_| profiled) {
-        let Some(curve) = simcache::get_profile(gemm, density, &configs[0], cand.profile_pass(p))
-        else {
-            continue;
-        };
+    for (ci, cand) in cands.iter().enumerate() {
         for &r in &todo {
-            if let Ok(i) = curve.binary_search_by_key(&configs[r].spm_bytes, |&(s, _)| s) {
-                let rep = sequential_combined(&configs[r], curve[i].1, cand.reduction());
+            if let Some((rep, _)) = get(r, Entry::Candidate(cand.stream(p))) {
                 update_best(&mut best[r], ci, rep);
                 known[ci][r] = true;
             }
@@ -742,15 +743,15 @@ fn evaluate(p: &Point, rungs: &Rungs, options: &SimOptions) -> Vec<(SimReport, L
                     _ => Some((r, None)),
                 })
                 .collect();
-            let mut record = |r: usize, raw: Option<SimReport>, rep: SimReport| {
-                fresh[ci].extend(raw.map(|raw| (configs[r].spm_bytes, raw)));
+            let mut record = |r: usize, rep: SimReport| {
+                put(r, Entry::Candidate(cand.stream(p)), (rep, cand.decision));
                 update_best(&mut best[r], ci, rep);
             };
             if options.analytic_fast_path {
                 replay_candidate(cand, p, rungs, &reps, s, &mut record);
             } else {
                 for &(r, _) in &reps {
-                    record(r, None, run_candidate(cand, p, &configs[r], &mut s.engine));
+                    record(r, run_candidate(cand, p, &configs[r], &mut s.engine));
                 }
             }
         }
@@ -758,22 +759,11 @@ fn evaluate(p: &Point, rungs: &Rungs, options: &SimOptions) -> Vec<(SimReport, L
 
     for &r in &todo {
         let (ci, rep) = best[r].expect("the first candidate visited at a rung runs uncut");
-        let (config, decision) = (&configs[r], cands[ci].decision);
-        done[r] = Some((rep, decision));
-        match p.pass {
-            _ if !options.memoize => {}
-            // Forward points the profile memo answered are not copied into
-            // the per-config memo, which would only duplicate them there;
-            // backward winners always go in.
-            Pass::Forward if known[0][r] => {}
-            Pass::Forward => simcache::put_forward(gemm, density, config, rep),
-            Pass::Backward(t) => {
-                simcache::put_backward(gemm, density, config, t, is_first, rep, decision)
-            }
+        let value = (rep, cands[ci].decision);
+        done[r] = Some(value);
+        if let Some(e) = winner {
+            put(r, e, value);
         }
-    }
-    for (cand, points) in cands.iter().zip(&fresh).filter(|_| profiled) {
-        simcache::put_profile(gemm, density, &configs[0], cand.profile_pass(p), points);
     }
     done.into_iter().flatten().collect()
 }
@@ -798,7 +788,7 @@ pub fn simulate_layer_forward_with(
     options: &SimOptions,
 ) -> SimReport {
     let p = Point::new(gemm, density, false, Pass::Forward);
-    evaluate(&p, &Rungs::single(config), options)[0].0
+    evaluate(&p, &Rungs::new(std::slice::from_ref(config)), options)[0].0
 }
 
 /// Simulate one layer's backward pass on `config` under `technique`
@@ -837,49 +827,7 @@ pub fn simulate_layer_backward_with(
     options: &SimOptions,
 ) -> (SimReport, LayerDecision) {
     let p = Point::new(gemm, density, is_first, Pass::Backward(technique));
-    evaluate(&p, &Rungs::single(config), options)[0]
-}
-
-/// One report per rung, each keeping the model's layer order; independent
-/// layers run concurrently on `options.workers` workers.
-fn model_reports(
-    model: &Model,
-    rungs: &Rungs,
-    technique: Technique,
-    options: &SimOptions,
-) -> Vec<ModelReport> {
-    let outcomes = |layer: &Layer| {
-        let (gemm, density, is_first) = (layer.gemm, layer.ifmap_density, layer.is_first);
-        let at = |pass| evaluate(&Point::new(gemm, density, is_first, pass), rungs, options);
-        let forward = at(Pass::Forward);
-        let backward = at(Pass::Backward(technique));
-        (forward.into_iter().zip(backward))
-            .map(|((forward, _), (backward, decision))| LayerOutcome {
-                name: layer.name.clone(),
-                multiplicity: layer.count as u64 * layer.groups as u64,
-                forward,
-                backward,
-                decision,
-                gemm,
-            })
-            .collect::<Vec<_>>()
-    };
-    let per_layer: Vec<Vec<LayerOutcome>> =
-        parallel_map_workers(&model.layers, options.workers, || (), |(), l| outcomes(l));
-    let mut reports: Vec<ModelReport> = (rungs.configs.iter())
-        .map(|config| ModelReport {
-            model: model.name.clone(),
-            config: config.name.clone(),
-            technique,
-            layers: Vec::with_capacity(per_layer.len()),
-        })
-        .collect();
-    for layer in per_layer {
-        for (report, outcome) in reports.iter_mut().zip(layer) {
-            report.layers.push(outcome);
-        }
-    }
-    reports
+    evaluate(&p, &Rungs::new(std::slice::from_ref(config)), options)[0]
 }
 
 /// Simulate one model's full training step under `technique`.
@@ -898,7 +846,8 @@ pub fn simulate_model_with(
     technique: Technique,
     options: &SimOptions,
 ) -> ModelReport {
-    let mut reports = model_reports(model, &Rungs::single(config), technique, options);
+    let configs = std::slice::from_ref(config);
+    let mut reports = simulate_model_ladder(model, configs, technique, options);
     reports.pop().expect("one report per rung")
 }
 
@@ -906,23 +855,56 @@ pub fn simulate_model_with(
 /// — one report per config, in order, each bit-identical to
 /// [`simulate_model_with`] on that config alone.
 ///
-/// When `configs` forms a valid capacity ladder (single-core, identical up
-/// to strictly ascending SPM sizes) and the analytic back end is on, each
-/// candidate is emitted once per distinct blocking signature and replayed
-/// at every matching rung; otherwise this falls back to per-config
-/// simulation.
+/// `configs` may come in any order, repeat a config and have any core
+/// count. On the analytic back end each single-core candidate is emitted
+/// once per distinct blocking signature and replayed at every matching
+/// rung. Independent layers run concurrently on `options.workers` workers;
+/// every report keeps the model's layer order.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or two configs differ in more than their
+/// SPM size.
 pub fn simulate_model_ladder(
     model: &Model,
     configs: &[NpuConfig],
     technique: Technique,
     options: &SimOptions,
 ) -> Vec<ModelReport> {
-    match Rungs::ladder(configs, options) {
-        Some(rungs) => model_reports(model, &rungs, technique, options),
-        None => (configs.iter())
-            .map(|c| simulate_model_with(model, c, technique, options))
-            .collect(),
+    let rungs = &Rungs::new(configs);
+    let outcomes = |layer: &Layer| {
+        let (gemm, density, is_first) = (layer.gemm, layer.ifmap_density, layer.is_first);
+        let at = |pass| evaluate(&Point::new(gemm, density, is_first, pass), rungs, options);
+        let forward = at(Pass::Forward);
+        let backward = at(Pass::Backward(technique));
+        (forward.into_iter().zip(backward))
+            .map(|((forward, _), (backward, decision))| LayerOutcome {
+                name: layer.name.clone(),
+                multiplicity: layer.count as u64 * layer.groups as u64,
+                forward,
+                backward,
+                decision,
+                gemm,
+            })
+            .collect::<Vec<_>>()
+    };
+    let per_layer: Vec<Vec<LayerOutcome>> =
+        parallel_map_workers(&model.layers, options.workers, || (), |(), l| outcomes(l));
+    let mut reports: Vec<ModelReport> = configs
+        .iter()
+        .map(|config| ModelReport {
+            model: model.name.clone(),
+            config: config.name.clone(),
+            technique,
+            layers: Vec::with_capacity(per_layer.len()),
+        })
+        .collect();
+    for layer in per_layer {
+        for (report, outcome) in reports.iter_mut().zip(layer) {
+            report.layers.push(outcome);
+        }
     }
+    reports
 }
 
 #[cfg(test)]
@@ -1199,32 +1181,70 @@ mod tests {
                 }
             }
         }
-        assert!(
-            crate::simcache::sim_profile_cache_len() > 0,
-            "ladder runs must populate the capacity-profile cache"
-        );
+        let layer = &model.layers[0];
+        for config in &configs {
+            let winner = Entry::Winner {
+                technique: Technique::DataPartitioning,
+                is_first: layer.is_first,
+            };
+            assert!(
+                simcache::get(layer.gemm, layer.ifmap_density, config, winner).is_some(),
+                "the ladder memoizes every rung's winner"
+            );
+        }
     }
 
     #[test]
-    fn ladder_falls_back_on_invalid_ladders() {
-        // Unsorted capacities and multi-core configs are not ladders; the
-        // entry point must transparently serve them per config.
-        let base = NpuConfig::large_single_core();
-        let unsorted = vec![
-            base.clone().with_spm_bytes(24 << 20),
-            base.clone().with_spm_bytes(3 << 20),
-        ];
-        let opts = SimOptions {
-            workers: 3,
-            ..SimOptions::optimized()
-        };
+    fn any_rung_list_matches_per_config_simulation() {
+        // Unsorted and repeated capacities, on one core and on two, on
+        // either back end: every rung equals simulating its config alone
+        // on the uncached engine reference.
+        let single = NpuConfig::large_single_core();
+        let dual = NpuConfig::large_server(2);
+        let lists: Vec<Vec<NpuConfig>> = [(&single, [24u64, 3, 24, 6]), (&dual, [24, 12, 24, 6])]
+            .into_iter()
+            .map(|(base, mibs)| {
+                mibs.map(|mib| base.clone().with_spm_bytes(mib << 20))
+                    .into()
+            })
+            .collect();
         let model = igo_workloads::zoo::model(igo_workloads::ModelId::Ncf, 8);
-        let got = simulate_model_ladder(&model, &unsorted, Technique::Rearrangement, &opts);
-        for (rung, config) in got.iter().zip(&unsorted) {
-            let want = simulate_model_with(&model, config, Technique::Rearrangement, &opts);
-            for (g, w) in rung.layers.iter().zip(&want.layers) {
-                assert_eq!(g.backward, w.backward);
-                assert_eq!(g.decision, w.decision);
+        let technique = Technique::DataPartitioning;
+        for (configs, analytic_fast_path) in lists.iter().flat_map(|l| [(l, true), (l, false)]) {
+            let opts = SimOptions {
+                workers: 3,
+                analytic_fast_path,
+                ..SimOptions::optimized()
+            };
+            let got = simulate_model_ladder(&model, configs, technique, &opts);
+            assert_eq!(got.len(), configs.len());
+            for (rung, config) in got.iter().zip(configs) {
+                let want =
+                    simulate_model_with(&model, config, technique, &SimOptions::sequential());
+                for (g, w) in rung.layers.iter().zip(&want.layers) {
+                    let at = format!("{} (analytic {analytic_fast_path})", config.name);
+                    assert_eq!(g.forward, w.forward, "fwd @ {at}");
+                    assert_eq!(g.backward, w.backward, "bwd @ {at}");
+                    assert_eq!(g.decision, w.decision, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_zoo_layer_fits_the_stream_budget_on_every_shipped_config() {
+        // The budget is sized from the largest of these streams (t5-large's
+        // vocabulary projection on the edge NPU), so none may be refused.
+        let mut configs = vec![NpuConfig::small_edge()];
+        configs.extend((1..=8).map(NpuConfig::large_server));
+        let suites = igo_workloads::zoo::SERVER_SUITE.iter();
+        let ids: Vec<_> = suites.chain(&igo_workloads::zoo::EDGE_SUITE).collect();
+        for config in &configs {
+            for &&id in &ids {
+                for layer in igo_workloads::zoo::model(id, config.default_batch()).layers {
+                    let fits = check_representable(layer.gemm, config);
+                    assert!(fits.is_ok(), "{id:?} {}: {fits:?}", layer.name);
+                }
             }
         }
     }
@@ -1240,8 +1260,12 @@ mod tests {
         };
         let first =
             simulate_layer_backward_with(gemm, 1.0, &config, Technique::Interleaving, false, &opts);
+        let winner = Entry::Winner {
+            technique: Technique::Interleaving,
+            is_first: false,
+        };
         assert_eq!(
-            crate::simcache::get_backward(gemm, 1.0, &config, Technique::Interleaving, false),
+            simcache::get(gemm, 1.0, &config, winner),
             Some(first),
             "the result must land in the cache"
         );

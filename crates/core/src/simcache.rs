@@ -2,10 +2,14 @@
 //!
 //! The experiment harnesses simulate the same layer shapes over and over:
 //! a technique ladder re-simulates every layer's forward pass once per
-//! technique, zoo models share layer shapes, and sweeps revisit entire
-//! models. Under this machine model a layer simulation is a pure function
-//! of `(GEMM shape, ifmap density, hardware config, technique, position)`,
-//! so the pipeline caches results across [`crate::simulate_model`] calls.
+//! technique, zoo models share layer shapes, techniques share candidates,
+//! and sweeps revisit entire models. Under this machine model a layer
+//! simulation is a pure function of `(GEMM shape, ifmap density, hardware
+//! config, what is simulated)`, so the pipeline caches results across
+//! [`crate::simulate_model`] calls in one LRU map. An [`Entry`] is either a
+//! technique's winner (report and decision, so a repeat skips candidate
+//! enumeration) or one candidate's report, reduction included, which every
+//! technique listing that candidate reuses.
 //!
 //! The key deliberately excludes the config's *name* (a label) and
 //! *batch-per-core* (already folded into the GEMM's M dimension by model
@@ -20,8 +24,7 @@ use crate::technique::Technique;
 use igo_npu_sim::{NpuConfig, SimReport};
 use igo_tensor::GemmShape;
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The simulation-relevant fields of an [`NpuConfig`], bit-exact and
@@ -53,9 +56,8 @@ impl ConfigFingerprint {
         }
     }
 
-    /// Fingerprint `config` with the SPM capacity zeroed out. This is the
-    /// key of the capacity-*oblivious* profile cache: one entry answers
-    /// every SPM size of an otherwise identical machine.
+    /// Fingerprint `config` with the SPM capacity zeroed out: configs with
+    /// equal results here differ at most in SPM size.
     pub fn sans_spm(config: &NpuConfig) -> Self {
         Self {
             spm_bytes: 0,
@@ -64,14 +66,37 @@ impl ConfigFingerprint {
     }
 }
 
-/// Which simulation of a layer the entry holds.
+/// Which access stream a candidate emits: the forward nest, one backward
+/// emission of the whole layer, or the sub-GEMMs of a partition plan
+/// (chained on a single core, one per core otherwise). Candidates of
+/// different techniques that emit the same stream share one entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PassKey {
+pub(crate) enum Stream {
     Forward,
-    Backward {
+    Plain {
+        order: BackwardOrder,
+        is_first: bool,
+    },
+    Partition {
+        scheme: PartitionScheme,
+        /// The realised part count.
+        parts: u64,
+        order: BackwardOrder,
+        is_first: bool,
+    },
+}
+
+/// What a memo entry holds for one layer on one config.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Entry {
+    /// The backward pass under `technique`: the winning candidate's report
+    /// and decision.
+    Winner {
         technique: Technique,
         is_first: bool,
     },
+    /// One candidate's report, reduction included, and its decision.
+    Candidate(Stream),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,38 +104,41 @@ struct CacheKey {
     gemm: GemmShape,
     density_bits: u64,
     config: ConfigFingerprint,
-    pass: PassKey,
+    entry: Entry,
 }
 
-/// A memoized layer result (`decision` is `None` for forward passes).
-type CacheEntry = (SimReport, Option<LayerDecision>);
+/// A memoized layer result.
+type Value = (SimReport, LayerDecision);
 
 /// Default capacity in entries (an entry is a couple of hundred bytes, so
 /// this bounds the memo cache to a few tens of megabytes).
 pub const DEFAULT_CACHE_CAP: usize = 1 << 18;
 
-/// Environment variable overriding the memo-cache capacity (entries).
+/// Environment variable overriding the memo-cache capacity (entries), read
+/// once, when the cache is first used.
 pub const CACHE_CAP_ENV: &str = "IGO_SIM_CACHE_CAP";
 
 /// A bounded LRU map: recency is tracked with a lazy queue of
 /// `(key, stamp)` touches — an entry is live only under its latest stamp,
 /// so stale queue slots are skipped (and trimmed) instead of being moved.
-struct LruCache<K, V> {
-    map: HashMap<K, (V, u64)>,
-    queue: VecDeque<(K, u64)>,
+struct LruCache {
+    map: HashMap<CacheKey, (Value, u64)>,
+    queue: VecDeque<(CacheKey, u64)>,
     clock: u64,
+    cap: usize,
 }
 
-impl<K: Eq + Hash + Copy, V: Clone> LruCache<K, V> {
-    fn new() -> Self {
+impl LruCache {
+    fn new(cap: usize) -> Self {
         Self {
             map: HashMap::new(),
             queue: VecDeque::new(),
             clock: 0,
+            cap,
         }
     }
 
-    fn touch(&mut self, k: K) -> u64 {
+    fn touch(&mut self, k: CacheKey) -> u64 {
         self.clock += 1;
         self.queue.push_back((k, self.clock));
         self.clock
@@ -128,23 +156,20 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCache<K, V> {
         }
     }
 
-    fn get(&mut self, k: &K) -> Option<V> {
+    fn get(&mut self, k: &CacheKey) -> Option<Value> {
         let stamp = self.touch(*k);
-        let got = match self.map.get_mut(k) {
-            Some((entry, s)) => {
-                *s = stamp;
-                Some(entry.clone())
-            }
-            None => None,
-        };
+        let got = self.map.get_mut(k).map(|(entry, s)| {
+            *s = stamp;
+            *entry
+        });
         self.maybe_compact();
         got
     }
 
-    fn insert(&mut self, k: K, entry: V, cap: usize) {
+    fn insert(&mut self, k: CacheKey, entry: Value) {
         let stamp = self.touch(k);
         self.map.insert(k, (entry, stamp));
-        while self.map.len() > cap {
+        while self.map.len() > self.cap {
             let (victim, s) = self.queue.pop_front().expect("queue covers every entry");
             if self.map.get(&victim).is_some_and(|&(_, live)| live == s) {
                 self.map.remove(&victim);
@@ -155,56 +180,45 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCache<K, V> {
     }
 }
 
-static CACHE: OnceLock<Mutex<LruCache<CacheKey, CacheEntry>>> = OnceLock::new();
+static CACHE: OnceLock<Mutex<LruCache>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-/// Capacity override; `usize::MAX` means "unset, read the environment".
-static CAP: AtomicUsize = AtomicUsize::new(usize::MAX);
 
-fn cache() -> &'static Mutex<LruCache<CacheKey, CacheEntry>> {
-    CACHE.get_or_init(|| Mutex::new(LruCache::new()))
-}
-
-/// The active capacity cap: a [`set_sim_cache_cap`] override if present,
-/// else `IGO_SIM_CACHE_CAP` from the environment, else
-/// [`DEFAULT_CACHE_CAP`].
-pub fn sim_cache_cap() -> usize {
-    match CAP.load(Ordering::Relaxed) {
-        usize::MAX => std::env::var(CACHE_CAP_ENV)
+/// The memo cache, capped at `IGO_SIM_CACHE_CAP` entries (a positive
+/// integer) or else [`DEFAULT_CACHE_CAP`].
+fn cache() -> &'static Mutex<LruCache> {
+    CACHE.get_or_init(|| {
+        let cap = std::env::var(CACHE_CAP_ENV)
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&cap| cap > 0)
-            .unwrap_or(DEFAULT_CACHE_CAP),
-        cap => cap,
-    }
+            .unwrap_or(DEFAULT_CACHE_CAP);
+        Mutex::new(LruCache::new(cap))
+    })
 }
 
-/// Override the memo-cache capacity (entries) for this process,
-/// taking precedence over `IGO_SIM_CACHE_CAP`. The cap applies to future
-/// insertions; it does not shrink the cache retroactively.
-///
-/// # Panics
-///
-/// Panics if `cap` is 0 (a cap of zero would make every lookup miss while
-/// still paying the insertion cost; disable memoization via
-/// [`crate::SimOptions::memoize`] instead).
-pub fn set_sim_cache_cap(cap: usize) {
-    assert!(cap > 0, "cache cap must be positive");
-    CAP.store(cap, Ordering::Relaxed);
-}
+const POISONED: &str = "no thread panics while holding the memo cache";
 
-fn key(gemm: GemmShape, density: f64, config: &NpuConfig, pass: PassKey) -> CacheKey {
+fn key(gemm: GemmShape, density: f64, config: &NpuConfig, entry: Entry) -> CacheKey {
     CacheKey {
         gemm,
         density_bits: density.to_bits(),
         config: ConfigFingerprint::of(config),
-        pass,
+        entry,
     }
 }
 
-fn lookup(k: &CacheKey) -> Option<CacheEntry> {
-    let got = cache().lock().unwrap().get(k);
+/// The memoized `entry` of a layer with forward shape `gemm` and ifmap
+/// `density` on `config`, counted as a hit or a miss.
+pub(crate) fn get(
+    gemm: GemmShape,
+    density: f64,
+    config: &NpuConfig,
+    entry: Entry,
+) -> Option<Value> {
+    let k = key(gemm, density, config, entry);
+    let got = cache().lock().expect(POISONED).get(&k);
     match got {
         Some(_) => HITS.fetch_add(1, Ordering::Relaxed),
         None => MISSES.fetch_add(1, Ordering::Relaxed),
@@ -212,163 +226,20 @@ fn lookup(k: &CacheKey) -> Option<CacheEntry> {
     got
 }
 
-fn insert(k: CacheKey, entry: CacheEntry) {
+/// Memoize `value` as [`get`]'s answer.
+pub(crate) fn put(gemm: GemmShape, density: f64, config: &NpuConfig, entry: Entry, value: Value) {
     // Concurrent workers may race on the same key; both compute the same
     // deterministic value, so last-write-wins is harmless.
-    let cap = sim_cache_cap();
-    cache().lock().unwrap().insert(k, entry, cap);
-}
-
-pub(crate) fn get_forward(gemm: GemmShape, density: f64, config: &NpuConfig) -> Option<SimReport> {
-    lookup(&key(gemm, density, config, PassKey::Forward)).map(|(r, _)| r)
-}
-
-pub(crate) fn put_forward(gemm: GemmShape, density: f64, config: &NpuConfig, report: SimReport) {
-    insert(key(gemm, density, config, PassKey::Forward), (report, None));
-}
-
-pub(crate) fn get_backward(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    technique: Technique,
-    is_first: bool,
-) -> Option<(SimReport, LayerDecision)> {
-    let pass = PassKey::Backward {
-        technique,
-        is_first,
-    };
-    lookup(&key(gemm, density, config, pass))
-        .map(|(r, d)| (r, d.expect("backward entries carry a decision")))
-}
-
-pub(crate) fn put_backward(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    technique: Technique,
-    is_first: bool,
-    report: SimReport,
-    decision: LayerDecision,
-) {
-    let pass = PassKey::Backward {
-        technique,
-        is_first,
-    };
-    insert(key(gemm, density, config, pass), (report, Some(decision)));
-}
-
-/// Which schedule a capacity profile describes. Unlike [`PassKey`], a
-/// backward entry pins one *candidate schedule* — not a technique, whose
-/// winning candidate may change with SPM capacity — because a profile
-/// curve must describe a single access stream across every capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum ProfilePass {
-    /// The forward nest.
-    Forward,
-    /// One single-builder backward emission.
-    Plain {
-        order: BackwardOrder,
-        is_first: bool,
-    },
-    /// One sequential-partition backward emission (all sub-GEMMs).
-    Partition {
-        scheme: PartitionScheme,
-        parts: u64,
-        order: BackwardOrder,
-        is_first: bool,
-    },
-}
-
-/// Key of the capacity-oblivious profile cache: the config fingerprint has
-/// its SPM field zeroed, so one entry serves the entire SPM ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProfileKey {
-    gemm: GemmShape,
-    density_bits: u64,
-    config: ConfigFingerprint,
-    pass: ProfilePass,
-}
-
-/// Exact replay results of one schedule at sampled SPM capacities,
-/// ascending in `spm_bytes`. Reports are the *raw* replay outputs — for
-/// partition candidates the reduction cost is added back by the caller.
-pub(crate) type ProfileCurve = Vec<(u64, SimReport)>;
-
-static PROFILE: OnceLock<Mutex<LruCache<ProfileKey, ProfileCurve>>> = OnceLock::new();
-
-fn profile_cache() -> &'static Mutex<LruCache<ProfileKey, ProfileCurve>> {
-    PROFILE.get_or_init(|| Mutex::new(LruCache::new()))
-}
-
-fn profile_key(gemm: GemmShape, density: f64, config: &NpuConfig, pass: ProfilePass) -> ProfileKey {
-    ProfileKey {
-        gemm,
-        density_bits: density.to_bits(),
-        config: ConfigFingerprint::sans_spm(config),
-        pass,
-    }
-}
-
-/// The profiled capacity curve of one schedule, if any rung of it has been
-/// replayed before. Hits and misses count into the shared cache counters.
-pub(crate) fn get_profile(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    pass: ProfilePass,
-) -> Option<ProfileCurve> {
-    let got = profile_cache()
-        .lock()
-        .unwrap()
-        .get(&profile_key(gemm, density, config, pass));
-    match got {
-        Some(_) => HITS.fetch_add(1, Ordering::Relaxed),
-        None => MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    got
-}
-
-/// Merge freshly replayed `(spm_bytes, report)` points into the profile
-/// curve of one schedule. Existing points win ties (both sides are outputs
-/// of the same deterministic replay, so the values are identical anyway).
-pub(crate) fn put_profile(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    pass: ProfilePass,
-    points: &[(u64, SimReport)],
-) {
-    if points.is_empty() {
-        return;
-    }
-    let k = profile_key(gemm, density, config, pass);
-    let cap = sim_cache_cap();
-    let mut cache = profile_cache().lock().unwrap();
-    let mut curve = cache
-        .map
-        .get(&k)
-        .map(|(v, _)| v.clone())
-        .unwrap_or_default();
-    for &(spm, report) in points {
-        if let Err(i) = curve.binary_search_by_key(&spm, |&(s, _)| s) {
-            curve.insert(i, (spm, report));
-        }
-    }
-    cache.insert(k, curve, cap);
-}
-
-/// Number of schedules with a memoized capacity profile.
-pub fn sim_profile_cache_len() -> usize {
-    profile_cache().lock().unwrap().map.len()
+    let k = key(gemm, density, config, entry);
+    cache().lock().expect(POISONED).insert(k, value);
 }
 
 /// Hit/miss/eviction counters of the layer memo cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Layer simulations served from the cache.
+    /// Lookups answered from the cache (winners and candidates).
     pub hits: u64,
-    /// Layer simulations that had to run.
+    /// Lookups the cache could not answer.
     pub misses: u64,
     /// Entries dropped by the LRU capacity cap.
     pub evictions: u64,
@@ -384,9 +255,9 @@ pub fn sim_cache_stats() -> CacheStats {
     }
 }
 
-/// Number of distinct layer results currently memoized.
+/// Number of entries (winners and candidate reports) currently memoized.
 pub fn sim_cache_len() -> usize {
-    cache().lock().unwrap().map.len()
+    cache().lock().expect(POISONED).map.len()
 }
 
 #[cfg(test)]
@@ -432,31 +303,36 @@ mod tests {
             GemmShape::new(m, 3, 5),
             1.0,
             &NpuConfig::small_edge(),
-            PassKey::Forward,
+            Entry::Candidate(Stream::Forward),
         )
     }
 
-    fn entry_for(cycles: u64) -> CacheEntry {
-        (
-            SimReport {
-                cycles,
-                ..Default::default()
-            },
-            None,
-        )
+    fn report(cycles: u64) -> SimReport {
+        SimReport {
+            cycles,
+            ..Default::default()
+        }
+    }
+
+    fn entry_for(cycles: u64) -> Value {
+        let decision = LayerDecision {
+            order: BackwardOrder::Baseline,
+            partition: None,
+        };
+        (report(cycles), decision)
     }
 
     #[test]
     fn lru_cap_evicts_least_recently_used() {
-        let mut lru = LruCache::new();
+        let mut lru = LruCache::new(4);
         let evicted_before = EVICTIONS.load(Ordering::Relaxed);
         for m in 1..=4 {
-            lru.insert(key_for(m), entry_for(m), 4);
+            lru.insert(key_for(m), entry_for(m));
         }
         // Touch the oldest entry, then overflow: the untouched next-oldest
         // (m=2) must be the victim, not the refreshed m=1.
         assert!(lru.get(&key_for(1)).is_some());
-        lru.insert(key_for(5), entry_for(5), 4);
+        lru.insert(key_for(5), entry_for(5));
         assert_eq!(lru.map.len(), 4, "cap must hold");
         assert!(lru.get(&key_for(2)).is_none(), "LRU entry evicted");
         assert!(lru.get(&key_for(1)).is_some(), "refreshed entry survives");
@@ -469,9 +345,9 @@ mod tests {
 
     #[test]
     fn lru_queue_stays_bounded_under_repeated_touches() {
-        let mut lru = LruCache::new();
+        let mut lru = LruCache::new(8);
         for m in 1..=8 {
-            lru.insert(key_for(m), entry_for(m), 8);
+            lru.insert(key_for(m), entry_for(m));
         }
         for _ in 0..10_000 {
             assert!(lru.get(&key_for(3)).is_some());
@@ -484,66 +360,31 @@ mod tests {
     }
 
     #[test]
-    fn cache_cap_override_takes_precedence() {
-        // A deliberately large override so concurrently running tests that
-        // rely on memoization never see evictions from this one.
-        set_sim_cache_cap(9_999_999);
-        assert_eq!(sim_cache_cap(), 9_999_999);
-    }
-
-    #[test]
-    fn profile_cache_merges_points_and_ignores_spm() {
+    fn candidate_entries_key_spm_and_pass_position() {
         // A deliberately unique shape so no other test collides.
         let gemm = GemmShape::new(7873, 7867, 7853);
         let config = NpuConfig::small_edge();
         let shrunk = config.clone().with_spm_bytes(config.spm_bytes / 2);
-        let pass = ProfilePass::Plain {
-            order: BackwardOrder::Interleaved,
-            is_first: false,
+        let plain = |is_first| {
+            Entry::Candidate(Stream::Plain {
+                order: BackwardOrder::Interleaved,
+                is_first,
+            })
         };
-        assert_eq!(get_profile(gemm, 1.0, &config, pass), None);
-        let rep = |cycles| SimReport {
-            cycles,
-            ..Default::default()
-        };
-        put_profile(
-            gemm,
-            1.0,
-            &config,
-            pass,
-            &[(4096, rep(40)), (1024, rep(10))],
-        );
-        // A second put through a *different SPM size* merges into the same
-        // curve: the key is capacity-oblivious.
-        put_profile(
-            gemm,
-            1.0,
-            &shrunk,
-            pass,
-            &[(2048, rep(20)), (1024, rep(99))],
-        );
-        let curve = get_profile(gemm, 1.0, &shrunk, pass).expect("curve cached");
+        assert_eq!(get(gemm, 1.0, &config, plain(false)), None);
+        put(gemm, 1.0, &config, plain(false), entry_for(40));
+        assert_eq!(get(gemm, 1.0, &config, plain(false)), Some(entry_for(40)));
+        assert_eq!(get(gemm, 1.0, &shrunk, plain(false)), None, "SPM is keyed");
         assert_eq!(
-            curve
-                .iter()
-                .map(|&(s, r)| (s, r.cycles))
-                .collect::<Vec<_>>(),
-            vec![(1024, 10), (2048, 20), (4096, 40)],
-            "points sorted ascending, first write wins ties"
-        );
-        assert_eq!(
-            get_profile(
-                gemm,
-                1.0,
-                &config,
-                ProfilePass::Plain {
-                    order: BackwardOrder::Interleaved,
-                    is_first: true,
-                },
-            ),
+            get(gemm, 1.0, &config, plain(true)),
             None,
             "pass position is keyed"
         );
+        let winner = Entry::Winner {
+            technique: Technique::Interleaving,
+            is_first: false,
+        };
+        assert_eq!(get(gemm, 1.0, &config, winner), None, "entry kind is keyed");
     }
 
     #[test]
@@ -551,13 +392,10 @@ mod tests {
         // A deliberately unique shape so no other test collides.
         let gemm = GemmShape::new(7919, 7907, 7901);
         let config = NpuConfig::small_edge();
-        assert_eq!(get_forward(gemm, 0.123, &config), None);
-        let report = SimReport {
-            cycles: 42,
-            ..Default::default()
-        };
-        put_forward(gemm, 0.123, &config, report);
-        assert_eq!(get_forward(gemm, 0.123, &config), Some(report));
-        assert_eq!(get_forward(gemm, 0.124, &config), None, "density is keyed");
+        let forward = Entry::Candidate(Stream::Forward);
+        assert_eq!(get(gemm, 0.123, &config, forward), None);
+        put(gemm, 0.123, &config, forward, entry_for(42));
+        assert_eq!(get(gemm, 0.123, &config, forward), Some(entry_for(42)));
+        assert_eq!(get(gemm, 0.124, &config, forward), None, "density is keyed");
     }
 }

@@ -67,10 +67,12 @@ pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};
 pub use engine::{engine_run_count, Engine, EngineScratch, Replacement};
 pub use multicore::{
-    reduction_cycles, replay_multicore, replay_sequential_partitions, run_multicore,
-    run_sequential_partitions, sequential_combined, MultiCoreReport,
+    reduction_cycles, replay_multicore, run_multicore, run_sequential_partitions,
+    sequential_combined, MultiCoreReport,
 };
-pub use opt::{OptCache, ReplayOptCache, MAX_STREAM_POSITIONS, MAX_TILE_IDS};
+pub use opt::{
+    OptCache, ReplayOptCache, MAX_STREAM_POSITIONS, MAX_TILE_IDS, STREAM_POSITION_BUDGET,
+};
 pub use recorder::{
     AccessKind, ClassMetrics, DyReusePoint, EventLog, NullRecorder, Phase, Recorder,
     ReuseHistogram, RunMetrics, TileStats, TraceEvent, REUSE_BUCKETS,

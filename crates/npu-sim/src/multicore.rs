@@ -224,7 +224,12 @@ pub fn replay_multicore(
         per_core.len(),
         config.cores
     );
-    let inner_cutoff = inner_cutoff(config, reduction, cutoff)?;
+    // The per-core replay budget left after the reduction; a reduction
+    // alone beyond `cutoff` makes the budget unmeetable.
+    let inner_cutoff = match cutoff {
+        Some(c) => Some(c.checked_sub(reduction_cycles(config, reduction))?),
+        None => None,
+    };
     let engine = Engine::new(config);
     let mut core_reports: Vec<SimReport> = Vec::with_capacity(per_core.len());
     for (i, &c) in per_core.iter().enumerate() {
@@ -235,40 +240,6 @@ pub fn replay_multicore(
         core_reports.push(report);
     }
     Some(combine_cores(config, core_reports, reduction))
-}
-
-/// [`run_sequential_partitions`] over one analytic collector holding the
-/// partitions' streams emitted back-to-back (the collector-side equivalent
-/// of [`Schedule::append_compatible`] concatenation — no barrier between
-/// segments, so residency crosses partition boundaries exactly as in the
-/// engine path), with an optional cycle `cutoff` (see
-/// [`replay_multicore`]).
-pub fn replay_sequential_partitions(
-    config: &NpuConfig,
-    combined: &AnalyticCollector,
-    reduction: Option<StreamOp>,
-    scratch: &mut AnalyticScratch,
-    cutoff: Option<u64>,
-) -> Option<MultiCoreReport> {
-    let report = combined.replay_bounded(
-        &Engine::new(config),
-        scratch,
-        inner_cutoff(config, reduction, cutoff)?,
-    )?;
-    Some(combine_cores(config, vec![report], reduction))
-}
-
-/// The per-core replay budget left by `cutoff` after the reduction; `None`
-/// when the reduction alone exceeds it (the budget is unmeetable).
-fn inner_cutoff(
-    config: &NpuConfig,
-    reduction: Option<StreamOp>,
-    cutoff: Option<u64>,
-) -> Option<Option<u64>> {
-    match cutoff {
-        Some(c) => Some(Some(c.checked_sub(reduction_cycles(config, reduction))?)),
-        None => Some(None),
-    }
 }
 
 #[cfg(test)]

@@ -258,6 +258,19 @@ pub const MAX_STREAM_POSITIONS: u64 = NO_USE as u64 - 1;
 /// [`BARRIER_ID`] reserved.
 pub const MAX_TILE_IDS: u64 = BARRIER_ID as u64 - 1;
 
+/// Most positions a caller should let one stream hold, well inside
+/// [`MAX_STREAM_POSITIONS`]: a stream's records, replay scratch and (on the
+/// cycle engine) materialised ops grow with its length, so a layer needing
+/// more is refused before emission rather than left to exhaust memory. The
+/// largest stream of any zoo model, at its config's default batch, on any
+/// shipped config (`small-npu`, `large-npu-x1` to `-x8`) holds 4,729,540
+/// positions: t5-large's 2048×1024×32128 vocabulary projection on
+/// `small-npu`, Baseline order chained over four weight-sharing
+/// partitions. A `trace` of that layer peaks at about 0.7 GiB.
+pub const STREAM_POSITION_BUDGET: u64 = 1 << 23;
+
+const _: () = assert!(STREAM_POSITION_BUDGET <= MAX_STREAM_POSITIONS);
+
 /// Flag bit of [`AccessRec`]'s packed bytes marking an accumulator touch.
 const DIRTY_BIT: u32 = 1 << 31;
 
