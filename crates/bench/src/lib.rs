@@ -46,8 +46,7 @@ pub fn abbr(model: &Model) -> String {
 }
 
 /// Self-measurement: wall-clock timing plus a machine-readable JSON summary
-/// of the simulator's own throughput (layers/sec, engine runs, cache
-/// hit-rate). The CLI's `--timing` flag and the micro-benchmarks both feed
+/// of the simulator's own work (engine and analytic runs, cache hit-rate). The CLI's `--timing` flag and the micro-benchmarks both feed
 /// off this module, so the perf trajectory of successive PRs is comparable.
 pub mod wallclock {
     use std::time::Instant;
@@ -78,27 +77,18 @@ pub mod wallclock {
         pub label: String,
         /// Elapsed wall-clock seconds.
         pub wall_seconds: f64,
-        /// Distinct layer simulations requested (layer × phase counts).
-        pub layers: u64,
-        /// `Engine::run` invocations actually executed.
+        /// Cycle-engine runs actually executed.
         pub engine_runs: u64,
-        /// Layer-level memo-cache hits.
+        /// Analytic stream replays actually executed.
+        pub analytic_runs: u64,
+        /// Memo-cache hits (winner and per-candidate lookups alike).
         pub cache_hits: u64,
-        /// Layer-level memo-cache misses.
+        /// Memo-cache misses.
         pub cache_misses: u64,
     }
 
     impl Timing {
-        /// Layers simulated per wall-clock second.
-        pub fn layers_per_sec(&self) -> f64 {
-            if self.wall_seconds > 0.0 {
-                self.layers as f64 / self.wall_seconds
-            } else {
-                f64::INFINITY
-            }
-        }
-
-        /// Fraction of layer simulations served from the memo cache.
+        /// Fraction of memo lookups the cache answered.
         pub fn cache_hit_rate(&self) -> f64 {
             let total = self.cache_hits + self.cache_misses;
             if total == 0 {
@@ -113,15 +103,14 @@ pub mod wallclock {
         pub fn to_json(&self) -> String {
             format!(
                 concat!(
-                    "{{\"label\":\"{}\",\"wall_seconds\":{:.6},\"layers\":{},",
-                    "\"layers_per_sec\":{:.2},\"engine_runs\":{},",
+                    "{{\"label\":\"{}\",\"wall_seconds\":{:.6},",
+                    "\"engine_runs\":{},\"analytic_runs\":{},",
                     "\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4}}}"
                 ),
                 self.label.replace('"', "'"),
                 self.wall_seconds,
-                self.layers,
-                self.layers_per_sec(),
                 self.engine_runs,
+                self.analytic_runs,
                 self.cache_hits,
                 self.cache_misses,
                 self.cache_hit_rate(),
@@ -150,14 +139,15 @@ mod tests {
         let t = wallclock::Timing {
             label: "sweep:res".into(),
             wall_seconds: 2.0,
-            layers: 100,
             engine_runs: 400,
+            analytic_runs: 900,
             cache_hits: 30,
             cache_misses: 70,
         };
         let json = t.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"layers_per_sec\":50.00"));
+        assert!(json.contains("\"engine_runs\":400,\"analytic_runs\":900,"));
+        assert!(!json.contains("layers"), "no layer-pass counter exists");
         assert!(json.contains("\"cache_hit_rate\":0.3000"));
         assert!((t.cache_hit_rate() - 0.3).abs() < 1e-12);
     }

@@ -41,8 +41,8 @@
 //! with `igo-sim audit --seed <seed> --seeds 1`).
 //!
 //! The global `--timing` flag appends one JSON line to stderr with the
-//! command's wall-clock time, engine-run count and memo-cache hit rate
-//! (see `igo_bench::wallclock::Timing`).
+//! command's wall-clock time, engine and analytic run counts and memo-cache
+//! hit rate (see `igo_bench::wallclock::Timing`).
 
 use igo_bench::wallclock::{measure, Timing};
 use igo_core::{
@@ -95,6 +95,7 @@ fn main() -> ExitCode {
     }
     let label = args.join(" ");
     let runs_before = engine_run_count();
+    let analytic_before = analytic_run_count();
     let cache_before = sim_cache_stats();
     let (code, wall) = measure(|| {
         // `audit`, `trace` and `sweep` parse their own flags; every other
@@ -133,8 +134,8 @@ fn main() -> ExitCode {
         let t = Timing {
             label,
             wall_seconds: wall,
-            layers: (cache.hits + cache.misses) - (cache_before.hits + cache_before.misses),
             engine_runs: engine_run_count() - runs_before,
+            analytic_runs: analytic_run_count() - analytic_before,
             cache_hits: cache.hits - cache_before.hits,
             cache_misses: cache.misses - cache_before.misses,
         };
@@ -660,6 +661,7 @@ fn perf_sweep(
     label: &str,
 ) -> (Vec<ModelReport>, Timing) {
     let runs_before = engine_run_count();
+    let analytic_before = analytic_run_count();
     let cache_before = sim_cache_stats();
     let (reports, wall) = measure(|| {
         models
@@ -668,12 +670,11 @@ fn perf_sweep(
             .collect::<Vec<_>>()
     });
     let cache = sim_cache_stats();
-    let layers: u64 = models.iter().map(|m| 2 * m.layers.len() as u64).sum();
     let timing = Timing {
         label: format!("perf:{}:{label}", config.name),
         wall_seconds: wall,
-        layers,
         engine_runs: engine_run_count() - runs_before,
+        analytic_runs: analytic_run_count() - analytic_before,
         cache_hits: cache.hits - cache_before.hits,
         cache_misses: cache.misses - cache_before.misses,
     };
@@ -825,9 +826,4 @@ fn cmd_perf(which: &str) -> ExitCode {
         eprintln!("optimized pipeline diverged from the sequential reference");
         ExitCode::FAILURE
     }
-}
-
-#[allow(dead_code)]
-fn model_by_id(id: ModelId, batch: u64) -> Model {
-    zoo::model(id, batch)
 }

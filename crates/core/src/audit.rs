@@ -41,22 +41,18 @@
 use crate::bound::{candidate_bound, stream_bound, streams};
 use crate::exec::{execute_backward, max_abs_diff, DenseLayer};
 use crate::parallel::parallel_map;
-use crate::partition::{
-    fast_layer_tensors, fresh_ids, partition_backward_ex, plan_partition_backward,
-    plan_partition_forward, PartitionScheme,
-};
 use crate::pipeline::{
-    candidates, rearranged_order, replay_cores, simulate_layer_backward_with,
-    simulate_layer_forward_with, simulate_model_ladder, EvalScratch, LayerDecision, SimOptions,
+    candidates, rearranged_order, simulate_layer_backward_with, simulate_layer_forward_with,
+    simulate_model_ladder, Choice, EvalScratch, LayerDecision, SimOptions,
 };
-use crate::schedule::{forward_schedule, BackwardBuilder, BackwardOrder, LayerTensors};
+use crate::schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 use crate::select::ALMOST_SQUARE_THRESHOLD;
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    reduction_cycles, replay_multicore, run_multicore, run_sequential_partitions, AccessKind,
-    AnalyticCollector, AnalyticScratch, DramConfig, Engine, EngineScratch, EventLog, NpuConfig,
-    OptCache, PeArray, Schedule, ScheduleOp, SimReport, StreamOp, TileKey, TraceEvent, Traffic,
+    combine_step, reduction_cycles, replay_multicore, AccessKind, AnalyticCollector,
+    AnalyticScratch, DramConfig, Engine, EngineScratch, EventLog, NpuConfig, OptCache, PeArray,
+    Schedule, ScheduleOp, SimReport, TileKey, TraceEvent, Traffic,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
 use igo_workloads::{Layer, LayerKind, Model, ModelId};
@@ -586,8 +582,8 @@ pub(crate) fn candidate_bound_failures(
     let mut failures = Vec::new();
     for cand in candidates(gemm, density, technique, is_first, config) {
         let (order, label) = (cand.decision.order, format!("{:?}", cand.decision));
-        let builders = cand.builders(gemm, density, policy);
-        let (schedules, reduction) = cand.schedules(gemm, density, is_first, config);
+        let (builders, reduction) = (cand.builders(policy), cand.reduction());
+        let schedules = cand.schedules(config);
         if streams(&builders, config).len() != schedules.len() {
             failures.push(format!("{label}: builder streams do not match schedules"));
         }
@@ -709,93 +705,42 @@ fn check_ladder(case: &AuditCase) -> Vec<Violation> {
 /// equal emitting and replaying every core on its own — per-core reports,
 /// reduction and makespan — for the backward pass and the forward pass.
 fn check_identical_cores(case: &AuditCase, decision: &LayerDecision) -> Vec<Violation> {
-    let mut violations = Vec::new();
     let config = &case.config;
-    let policy = TilePolicy::for_config(config);
-    let tensors = fast_layer_tensors();
-    let (scheme, parts) = decision
-        .partition
-        .unwrap_or((PartitionScheme::WeightSharing, config.cores as u64));
-    let plan = plan_partition_backward(
-        &mut fresh_ids(),
-        tensors,
-        case.gemm,
-        case.density,
-        policy.dtype,
-        scheme,
-        parts,
-        case.is_first,
-    );
-    let backward: Vec<BackwardBuilder> = plan
-        .sub_gemms
-        .iter()
-        .zip(&plan.part_tensors)
-        .map(|(&g, &t)| BackwardBuilder::new(g, policy, t).with_ifmap_density(case.density))
-        .collect();
-    let (sub_gemms, part_tensors) =
-        plan_partition_forward(&mut fresh_ids(), tensors, case.gemm, config.cores as u64);
-    let forward: Vec<BackwardBuilder> = sub_gemms
-        .iter()
-        .zip(&part_tensors)
-        .map(|(&g, &t)| BackwardBuilder::new(g, policy, t))
-        .collect();
-    let backward = reuse_differential(
-        config,
-        &backward,
-        |b, c| b.emit(decision.order, case.is_first, c),
-        plan.reduction,
-    );
-    let forward = reuse_differential(
-        config,
-        &forward,
-        |b, c| forward_schedule(b.gemm(), policy, b.tensors(), case.density, c),
-        None,
-    );
-    for (pass, detail) in [("backward", backward), ("forward", forward)] {
-        if let Some(detail) = detail {
-            violations.push(Violation {
+    let (gemm, density) = (case.gemm, case.density);
+    let backward = Choice::new(gemm, density, case.is_first, config, *decision);
+    let forward = Choice::forward(gemm, density, config);
+    [("backward", backward), ("forward", forward)]
+        .into_iter()
+        .filter_map(|(pass, cand)| {
+            Some(Violation {
                 seed: case.seed,
                 check: "identical-core-differential",
-                detail: format!("{pass}: {detail}"),
-            });
-        }
-    }
-    violations
+                detail: format!("{pass}: {}", reuse_differential(config, &cand)?),
+            })
+        })
+        .collect()
 }
 
-/// The step over `builders` (one per core) replayed by the pipeline, which
-/// reuses equal cores' reports, versus every core emitted into its own
-/// collector and replayed: `Some(detail)` if they differ.
-fn reuse_differential(
-    config: &NpuConfig,
-    builders: &[BackwardBuilder],
-    emit: impl Fn(&BackwardBuilder, &mut AnalyticCollector),
-    reduction: Option<StreamOp>,
-) -> Option<String> {
-    let every: Vec<AnalyticCollector> = builders
-        .iter()
+/// `cand`'s step replayed by the pipeline, which reuses equal cores'
+/// reports, versus every core emitted into its own collector and replayed:
+/// `Some(detail)` if they differ.
+fn reuse_differential(config: &NpuConfig, cand: &Choice) -> Option<String> {
+    let every: Vec<AnalyticCollector> = (cand.builders(TilePolicy::for_config(config)).iter())
         .map(|b| {
             let mut c = AnalyticCollector::new();
             b.register_grids(&mut c);
-            emit(b, &mut c);
+            cand.emit(b, &mut c);
             c
         })
         .collect();
     let every = replay_multicore(
         config,
         &every.iter().collect::<Vec<_>>(),
-        reduction,
+        cand.reduction(),
         &mut AnalyticScratch::new(),
         None,
     );
-    let reused = replay_cores(
-        config,
-        builders,
-        emit,
-        reduction,
-        None,
-        &mut EvalScratch::default(),
-    );
+    let reused = cand.replay_cores(config, None, &mut EvalScratch::default());
     (reused != every).then(|| format!("reused cores give {reused:?}, every core {every:?}"))
 }
 
@@ -961,85 +906,14 @@ fn check_decision_conservation(
     report: &SimReport,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let policy = TilePolicy::for_config(&case.config);
-    let mut proto = Schedule::new("audit");
-    let tensors = LayerTensors::register(&mut proto, "l");
-
-    // The schedules the decision implies, plus the combined report the
-    // public execution model assigns to them.
-    let (schedules, rebuilt): (Vec<Schedule>, SimReport) = match decision.partition {
-        None if case.config.cores == 1 => {
-            let mut s = proto.fork("audit-bwd");
-            BackwardBuilder::new(case.gemm, policy, tensors)
-                .with_ifmap_density(case.density)
-                .emit(decision.order, case.is_first, &mut s);
-            let r = Engine::new(&case.config).run(&s);
-            (vec![s], r)
-        }
-        None => {
-            // Conventional multi-core batch parallelism: weight-sharing
-            // split across the cores.
-            let p = partition_backward_ex(
-                &proto,
-                tensors,
-                case.gemm,
-                case.density,
-                policy,
-                PartitionScheme::WeightSharing,
-                case.config.cores as u64,
-                decision.order,
-                case.is_first,
-            );
-            let r = run_multicore(
-                &case.config,
-                &p.schedules,
-                p.reduction,
-                &mut EngineScratch::new(),
-            )
-            .combined();
-            (p.schedules, r)
-        }
-        Some((scheme, parts)) => {
-            let p = partition_backward_ex(
-                &proto,
-                tensors,
-                case.gemm,
-                case.density,
-                policy,
-                scheme,
-                parts,
-                decision.order,
-                case.is_first,
-            );
-            if case.config.cores == 1 {
-                let r = run_sequential_partitions(
-                    &case.config,
-                    &p.schedules,
-                    p.reduction,
-                    &mut EngineScratch::new(),
-                )
-                .combined();
-                // Sequential chaining concatenates the segments into one
-                // stream, so residency crosses segment boundaries; shadow
-                // the same concatenation.
-                let mut combined = p.schedules[0].clone();
-                for s in &p.schedules[1..] {
-                    combined.append_compatible(s);
-                }
-                (vec![combined], r)
-            } else {
-                let r = run_multicore(
-                    &case.config,
-                    &p.schedules,
-                    p.reduction,
-                    &mut EngineScratch::new(),
-                )
-                .combined();
-                (p.schedules, r)
-            }
-        }
-    };
-
+    let config = &case.config;
+    // The schedules the decision implies, and the step the public machine
+    // model assigns to their engine reports.
+    let cand = Choice::new(case.gemm, case.density, case.is_first, config, *decision);
+    let schedules = cand.schedules(config);
+    let engine = Engine::new(config);
+    let reports: Vec<SimReport> = schedules.iter().map(|s| engine.run(s)).collect();
+    let rebuilt = combine_step(config, &reports, cand.reduction());
     if rebuilt != *report {
         violations.push(Violation {
             seed: case.seed,
@@ -1049,13 +923,11 @@ fn check_decision_conservation(
             ),
         });
     }
-
-    for s in &schedules {
-        let engine_report = Engine::new(&case.config).run(s);
+    for (s, engine_report) in schedules.iter().zip(&reports) {
         violations.extend(check_report_conservation(
             s,
-            &case.config,
-            &engine_report,
+            config,
+            engine_report,
             case.seed,
         ));
     }

@@ -15,8 +15,8 @@
 //! reads (the Figure 6 study) and partitioned schedules (via the
 //! partition's tensor bindings and sub-GEMM offsets).
 
-use crate::partition::{PartitionScheme, PartitionedBackward};
-use crate::schedule::LayerTensors;
+use crate::partition::{tensor_table, PartitionPlan, PartitionScheme};
+use crate::schedule::{BackwardOrder, LayerTensors};
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{Schedule, ScheduleOp, TensorId, TileOp};
 use igo_tensor::SplitMix64;
@@ -150,44 +150,57 @@ pub fn execute_backward(
     out
 }
 
-/// Execute a partitioned backward pass: every partition's schedule runs
-/// against its slice of the layer data; partial gradients accumulate into
-/// one result (the cross-partition reduction).
+/// Execute a partitioned backward pass: every partition of `plan`, emitted
+/// under `order` into a fork of the plan's tensor table, runs against its
+/// slice of the layer data; partial gradients accumulate into one result
+/// (the cross-partition reduction).
+///
+/// # Panics
+///
+/// Panics if the plan's sub-GEMMs do not tile `layer`'s GEMM.
 pub fn execute_partitioned(
-    partitioned: &PartitionedBackward,
-    parent_gemm: GemmShape,
+    plan: &PartitionPlan,
+    order: BackwardOrder,
+    is_first: bool,
     layer: &DenseLayer,
     policy: TilePolicy,
 ) -> ExecutedGradients {
-    assert_eq!(
-        parent_gemm, layer.gemm,
-        "layer data must match the parent GEMM"
-    );
+    let gemm = layer.gemm;
     let mut out = ExecutedGradients {
-        dx: vec![0.0; (parent_gemm.m() * parent_gemm.k()) as usize],
-        dw: vec![0.0; (parent_gemm.k() * parent_gemm.n()) as usize],
+        dx: vec![0.0; (gemm.m() * gemm.k()) as usize],
+        dw: vec![0.0; (gemm.k() * gemm.n()) as usize],
     };
+    let builders = plan.builders(policy, 1.0);
+    let table = tensor_table(&builders);
     let (mut m_off, mut k_off, mut n_off) = (0u64, 0u64, 0u64);
-    for ((schedule, tensors), sub) in partitioned
-        .schedules
-        .iter()
-        .zip(&partitioned.part_tensors)
-        .zip(&partitioned.sub_gemms)
-    {
+    for b in &builders {
+        let mut schedule = table.fork(table.name());
+        b.emit(order, is_first, &mut schedule);
+        let (tensors, sub) = (b.tensors(), b.gemm());
         let view = PartitionView {
-            tensors: *tensors,
-            sub: *sub,
+            tensors,
+            sub,
             m_off,
             k_off,
             n_off,
         };
-        execute_view(schedule, &view, layer, policy, &mut out);
-        match partitioned.scheme {
+        execute_view(&schedule, &view, layer, policy, &mut out);
+        match plan.scheme {
             PartitionScheme::WeightSharing => m_off += sub.m(),
             PartitionScheme::DySharing => n_off += sub.n(),
             PartitionScheme::IfmapSharing => k_off += sub.k(),
         }
     }
+    let whole = match plan.scheme {
+        PartitionScheme::WeightSharing => (gemm.m(), 0, 0),
+        PartitionScheme::DySharing => (0, 0, gemm.n()),
+        PartitionScheme::IfmapSharing => (0, gemm.k(), 0),
+    };
+    assert_eq!(
+        (m_off, k_off, n_off),
+        whole,
+        "the partitions must tile the layer"
+    );
     out
 }
 
@@ -320,8 +333,7 @@ pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{BackwardBuilder, BackwardOrder};
-    use crate::tiling::TilePolicy;
+    use crate::schedule::BackwardBuilder;
     use igo_tensor::{DataType, TileShape};
 
     fn tiny_policy() -> TilePolicy {
@@ -375,21 +387,17 @@ mod tests {
         let gemm = GemmShape::new(40, 24, 32);
         let layer = DenseLayer::random(gemm, 3);
         let policy = tiny_policy();
-        let mut proto = Schedule::new("p");
-        let tensors = LayerTensors::register(&mut proto, "l");
         for scheme in PartitionScheme::ALL {
             for parts in [2u64, 3] {
-                let p = crate::partition::partition_backward(
-                    &proto,
-                    tensors,
+                let plan = crate::partition::plan_partition_backward(
                     gemm,
-                    policy,
+                    1.0,
+                    policy.dtype,
                     scheme,
                     parts,
-                    BackwardOrder::DxMajor,
                     false,
                 );
-                let got = execute_partitioned(&p, gemm, &layer, policy);
+                let got = execute_partitioned(&plan, BackwardOrder::DxMajor, false, &layer, policy);
                 let tol = 1e-3 * gemm.max_dim() as f32;
                 assert!(
                     max_abs_diff(&got.dx, &layer.reference_dx()) < tol,

@@ -10,17 +10,15 @@
 //!
 //! The decision is made exactly as in the untraced pipeline
 //! ([`simulate_layer_backward_with`]), and the execution it implies is
-//! materialised by the pipeline's own engine back end: one engine run per
-//! core for multi-core decisions, one chained run for single-core
+//! materialised from the pipeline's own candidate for it: one engine run
+//! per core for multi-core decisions, one chained run for single-core
 //! sequential partitions.
 //!
 //! Exporters for the collected traces — Chrome trace-event JSON
 //! (Perfetto / `chrome://tracing`) and CSV metric summaries — live in
 //! [`crate::report_io`].
 
-use crate::pipeline::{
-    decision_schedules, simulate_layer_backward_with, LayerDecision, SimOptions,
-};
+use crate::pipeline::{simulate_layer_backward_with, Choice, LayerDecision, SimOptions};
 use crate::technique::Technique;
 use igo_npu_sim::{
     Engine, EngineScratch, EventLog, NpuConfig, RunMetrics, Schedule, SimReport, TraceEvent,
@@ -33,8 +31,6 @@ use igo_workloads::Model;
 pub struct CoreTrace {
     /// Core index within the layer's execution (0 for single-core).
     pub core: usize,
-    /// Name of the schedule this core ran.
-    pub schedule: String,
     /// The cycle-stamped event stream, in emission order.
     pub events: Vec<TraceEvent>,
     /// Metrics derived from `events`.
@@ -82,7 +78,6 @@ fn record_run(engine: &Engine, schedule: &Schedule, core: usize) -> CoreTrace {
     let metrics = RunMetrics::from_events(&log.events, engine.residency_bytes());
     CoreTrace {
         core,
-        schedule: schedule.name().to_string(),
         events: log.events,
         metrics,
         report,
@@ -108,10 +103,8 @@ pub fn trace_layer_backward(
     let (report, decision) =
         simulate_layer_backward_with(gemm, density, config, technique, is_first, options);
     let engine = Engine::new(config);
-    let (schedules, _) = decision_schedules(gemm, density, config, decision, is_first, name);
-
-    let cores = schedules
-        .iter()
+    let cand = Choice::new(gemm, density, is_first, config, decision);
+    let cores = (cand.schedules(config).iter())
         .enumerate()
         .map(|(core, s)| record_run(&engine, s, core))
         .collect();

@@ -17,7 +17,7 @@
 //! different data). Reductions are modelled as a bandwidth-cost
 //! [`StreamOp`]: read all `P` partial tensors, write the combined result.
 
-use crate::schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
+use crate::schedule::{BackwardBuilder, LayerTensors};
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{Schedule, StreamOp, TensorId};
 use igo_tensor::{DataType, GemmDim, GemmShape, TensorClass};
@@ -50,6 +50,15 @@ impl PartitionScheme {
         }
     }
 
+    /// The role of the tensor every partition shares.
+    pub fn shared(self) -> TensorClass {
+        match self {
+            PartitionScheme::WeightSharing => TensorClass::Weight,
+            PartitionScheme::DySharing => TensorClass::Ifmap,
+            PartitionScheme::IfmapSharing => TensorClass::OutGrad,
+        }
+    }
+
     /// Short label used in reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -66,107 +75,15 @@ impl core::fmt::Display for PartitionScheme {
     }
 }
 
-/// A partitioned backward pass, ready to run sequentially (single core) or
-/// one-per-core (multi-core).
-#[derive(Debug, Clone)]
-pub struct PartitionedBackward {
-    /// One schedule per partition. All partitions share one complete
-    /// tensor table (compatible forks), so they can also be chained
-    /// sequentially with residency intact.
-    pub schedules: Vec<Schedule>,
-    /// Cross-partition reduction cost, if the scheme needs one.
-    pub reduction: Option<StreamOp>,
-    /// The scheme used.
-    pub scheme: PartitionScheme,
-    /// Tensor bindings of each partition (shared roles keep the parent
-    /// ids). Used by the numerical executor to map partition tiles back
-    /// onto the layer's data.
-    pub part_tensors: Vec<LayerTensors>,
-    /// The per-partition sub-GEMMs, in order.
-    pub sub_gemms: Vec<igo_tensor::GemmShape>,
-}
-
-/// Build the partitioned backward pass of one layer.
-///
-/// `proto` must be a schedule holding the parent layer's tensors
-/// (`tensors`); each partition schedule is a fork of it. `order` is the
-/// per-partition emission order (partitioning composes with interleaving /
-/// rearrangement — the paper's third step "relies on the results from the
-/// first two").
-///
-/// # Panics
-///
-/// Panics if `parts == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn partition_backward(
-    proto: &Schedule,
-    tensors: LayerTensors,
-    gemm: GemmShape,
-    policy: TilePolicy,
-    scheme: PartitionScheme,
-    parts: u64,
-    order: BackwardOrder,
-    is_first: bool,
-) -> PartitionedBackward {
-    partition_backward_ex(
-        proto, tensors, gemm, 1.0, policy, scheme, parts, order, is_first,
-    )
-}
-
-/// [`partition_backward`] with an explicit ifmap density (raw-layout
-/// `X`/`dX` traffic scaling for convolution layers).
-#[allow(clippy::too_many_arguments)]
-pub fn partition_backward_ex(
-    proto: &Schedule,
-    tensors: LayerTensors,
-    gemm: GemmShape,
-    ifmap_density: f64,
-    policy: TilePolicy,
-    scheme: PartitionScheme,
-    parts: u64,
-    order: BackwardOrder,
-    is_first: bool,
-) -> PartitionedBackward {
-    // Phase 1: register every partition's split tensors in one master
-    // fork, so all partition schedules share a single complete tensor
-    // table (required for sequential chaining).
-    let mut master = proto.fork(format!("{}-master", scheme.label()));
-    let plan = plan_partition_backward(
-        &mut |class, name| master.add_tensor(class, name),
-        tensors,
-        gemm,
-        ifmap_density,
-        policy.dtype,
-        scheme,
-        parts,
-        is_first,
-    );
-
-    // Phase 2: emit each partition into its own fork of the master.
-    let mut schedules = Vec::with_capacity(plan.sub_gemms.len());
-    for (p, (sub, t)) in plan.sub_gemms.iter().zip(&plan.part_tensors).enumerate() {
-        let mut s = master.fork(format!("{}[{p}]", scheme.label()));
-        let builder = BackwardBuilder::new(*sub, policy, *t).with_ifmap_density(ifmap_density);
-        builder.emit(order, is_first, &mut s);
-        schedules.push(s);
-    }
-
-    PartitionedBackward {
-        schedules,
-        reduction: plan.reduction,
-        scheme,
-        part_tensors: plan.part_tensors,
-        sub_gemms: plan.sub_gemms,
-    }
-}
-
-/// A partitioned backward pass before any schedule is emitted: the
+/// A partitioned layer pass before any stream is emitted: the
 /// per-partition sub-GEMMs and tensor bindings plus the reduction cost.
-/// This is all the analytic fast path needs — it emits each partition
-/// through a [`BackwardBuilder`] into an analytic collector instead of a
-/// [`Schedule`], skipping the tensor-table forks entirely.
+/// [`PartitionPlan::builders`] turns it into one [`BackwardBuilder`] per
+/// partition; the pipeline's candidates replay those or emit them into
+/// forks of one [`tensor_table`].
 #[derive(Debug, Clone)]
 pub struct PartitionPlan {
+    /// The scheme that split the layer.
+    pub scheme: PartitionScheme,
     /// The per-partition sub-GEMMs, in order.
     pub sub_gemms: Vec<GemmShape>,
     /// Tensor bindings of each partition (shared roles keep parent ids).
@@ -175,11 +92,18 @@ pub struct PartitionPlan {
     pub reduction: Option<StreamOp>,
 }
 
-/// Tensor ids of a layer planned without a [`Schedule`]: the id sequence
-/// [`LayerTensors::register`] produces on a fresh schedule, so streams
-/// emitted from a plan match the materialised schedules (ids feed the
-/// replacement tie-break).
-pub(crate) fn fast_layer_tensors() -> LayerTensors {
+impl PartitionPlan {
+    /// One builder per partition, tiled by `policy`, with ifmap `density`.
+    pub fn builders(&self, policy: TilePolicy, density: f64) -> Vec<BackwardBuilder> {
+        (self.sub_gemms.iter().zip(&self.part_tensors))
+            .map(|(&g, &t)| BackwardBuilder::new(g, policy, t).with_ifmap_density(density))
+            .collect()
+    }
+}
+
+/// The tensor ids of a layer: the id sequence [`LayerTensors::register`]
+/// produces on a fresh schedule, as in every [`tensor_table`].
+pub fn layer_tensors() -> LayerTensors {
     LayerTensors {
         x: TensorId::from_raw(0),
         w: TensorId::from_raw(1),
@@ -190,29 +114,64 @@ pub(crate) fn fast_layer_tensors() -> LayerTensors {
     }
 }
 
-/// Fresh tensor ids for a partition plan over [`fast_layer_tensors`],
-/// numbered after the layer's own as a schedule's tensor table would.
-pub(crate) fn fresh_ids() -> impl FnMut(TensorClass, String) -> TensorId {
-    let mut next = 6;
-    move |_class, _name| {
-        let id = TensorId::from_raw(next);
-        next += 1;
-        id
-    }
+/// Per-partition bindings over [`layer_tensors`]: every role in `split`
+/// gets a fresh id per partition, numbered after the layer's own tensors
+/// in partition, then role, order; the other roles keep the parent id.
+fn bind_parts(parts: usize, split: &[TensorClass]) -> Vec<LayerTensors> {
+    let parent = layer_tensors();
+    let mut next = LayerTensors::ROLES.len() as u32;
+    let mut bind = |role| match split.contains(&role) {
+        true => {
+            next += 1;
+            TensorId::from_raw(next - 1)
+        }
+        false => parent.of(role),
+    };
+    (0..parts)
+        .map(|_| LayerTensors {
+            x: bind(TensorClass::Ifmap),
+            w: bind(TensorClass::Weight),
+            y: bind(TensorClass::Ofmap),
+            dx: bind(TensorClass::InGrad),
+            dw: bind(TensorClass::WGrad),
+            dy: bind(TensorClass::OutGrad),
+        })
+        .collect()
 }
 
-/// Split `gemm` under `scheme` and bind each partition's tensors, minting
-/// fresh ids through `alloc`. Split tensors get fresh per-partition
-/// identities; the shared tensor keeps the parent id (its grid is
-/// untouched by the split, so parent coordinates remain valid).
+/// A schedule whose tensor table registers every tensor `builders` bind:
+/// the layer's own six ([`layer_tensors`]), then each id the planners
+/// minted, with the class of the role it plays. Forks of it run any of
+/// the builders' streams, alone or chained.
+///
+/// # Panics
+///
+/// Panics if the builders' ids are not the dense sequence the planners
+/// mint.
+pub fn tensor_table(builders: &[BackwardBuilder]) -> Schedule {
+    let mut table = Schedule::new("l");
+    LayerTensors::register(&mut table, "l");
+    for b in builders {
+        for role in LayerTensors::ROLES {
+            let id = b.tensors().of(role);
+            if id.raw() as usize >= table.num_tensors() {
+                let minted = table.add_tensor(role, role.label());
+                assert_eq!(minted, id, "partition ids must be minted densely");
+            }
+        }
+    }
+    table
+}
+
+/// Split `gemm` under `scheme` and bind each partition's tensors over
+/// [`layer_tensors`]. Split tensors get fresh per-partition identities;
+/// the shared tensor keeps the parent id (its grid is untouched by the
+/// split, so parent coordinates remain valid).
 ///
 /// # Panics
 ///
 /// Panics if `parts == 0`.
-#[allow(clippy::too_many_arguments)]
 pub fn plan_partition_backward(
-    alloc: &mut dyn FnMut(TensorClass, String) -> TensorId,
-    tensors: LayerTensors,
     gemm: GemmShape,
     ifmap_density: f64,
     dtype: DataType,
@@ -223,35 +182,10 @@ pub fn plan_partition_backward(
     assert!(parts > 0, "need at least one partition");
     let sub_gemms = gemm.split(scheme.split_dim(), parts);
     let actual_parts = sub_gemms.len() as u64;
-
-    let part_tensors: Vec<LayerTensors> = (0..sub_gemms.len())
-        .map(|p| match scheme {
-            PartitionScheme::WeightSharing => LayerTensors {
-                x: alloc(TensorClass::Ifmap, format!("X[{p}]")),
-                w: tensors.w,
-                y: alloc(TensorClass::Ofmap, format!("Y[{p}]")),
-                dx: alloc(TensorClass::InGrad, format!("dX[{p}]")),
-                dw: alloc(TensorClass::WGrad, format!("dW_part[{p}]")),
-                dy: alloc(TensorClass::OutGrad, format!("dY[{p}]")),
-            },
-            PartitionScheme::DySharing => LayerTensors {
-                x: tensors.x,
-                w: alloc(TensorClass::Weight, format!("W[{p}]")),
-                y: alloc(TensorClass::Ofmap, format!("Y[{p}]")),
-                dx: alloc(TensorClass::InGrad, format!("dX_part[{p}]")),
-                dw: alloc(TensorClass::WGrad, format!("dW[{p}]")),
-                dy: alloc(TensorClass::OutGrad, format!("dY[{p}]")),
-            },
-            PartitionScheme::IfmapSharing => LayerTensors {
-                x: alloc(TensorClass::Ifmap, format!("X[{p}]")),
-                w: alloc(TensorClass::Weight, format!("W[{p}]")),
-                y: alloc(TensorClass::Ofmap, format!("Y[{p}]")),
-                dx: alloc(TensorClass::InGrad, format!("dX[{p}]")),
-                dw: alloc(TensorClass::WGrad, format!("dW[{p}]")),
-                dy: tensors.dy,
-            },
-        })
+    let split: Vec<TensorClass> = (LayerTensors::ROLES.into_iter())
+        .filter(|&role| role != scheme.shared())
         .collect();
+    let part_tensors = bind_parts(sub_gemms.len(), &split);
 
     // Reduction: read P partial tensors, write the combined one.
     let reduction = match scheme {
@@ -277,108 +211,81 @@ pub fn plan_partition_backward(
     };
 
     PartitionPlan {
+        scheme,
         sub_gemms,
         part_tensors,
         reduction,
     }
 }
 
-/// Build a batch-split (M) forward pass: one schedule per partition, `W`
-/// shared, no reduction. This is how both the baseline and the transformed
-/// multi-core runs execute the forward pass (the paper's techniques only
-/// change the backward pass).
-pub fn partition_forward(
-    proto: &Schedule,
-    tensors: LayerTensors,
-    gemm: GemmShape,
-    policy: TilePolicy,
-    parts: u64,
-) -> Vec<Schedule> {
-    partition_forward_ex(proto, tensors, gemm, 1.0, policy, parts)
-}
-
-/// [`partition_forward`] with an explicit ifmap density.
-pub fn partition_forward_ex(
-    proto: &Schedule,
-    tensors: LayerTensors,
-    gemm: GemmShape,
-    ifmap_density: f64,
-    policy: TilePolicy,
-    parts: u64,
-) -> Vec<Schedule> {
-    let mut master = proto.fork("fwd-master");
-    let (sub_gemms, part_tensors) = plan_partition_forward(
-        &mut |class, name| master.add_tensor(class, name),
-        tensors,
-        gemm,
-        parts,
-    );
-    let mut schedules = Vec::with_capacity(sub_gemms.len());
-    for (p, (sub, t)) in sub_gemms.iter().zip(&part_tensors).enumerate() {
-        let mut s = master.fork(format!("fwd[{p}]"));
-        crate::schedule::forward_schedule(*sub, policy, *t, ifmap_density, &mut s);
-        schedules.push(s);
-    }
-    schedules
-}
-
-/// The planning half of [`partition_forward_ex`]: batch-split sub-GEMMs
-/// and per-partition tensor bindings (`W` shared, gradients untouched),
-/// with ids minted through `alloc`.
+/// A batch-split (M) forward pass: `W` shared, fresh `X` and `Y` per
+/// partition, no reduction. This is how both the baseline and the
+/// transformed multi-core runs execute the forward pass (the paper's
+/// techniques only change the backward pass).
 ///
 /// # Panics
 ///
 /// Panics if `parts == 0`.
-pub fn plan_partition_forward(
-    alloc: &mut dyn FnMut(TensorClass, String) -> TensorId,
-    tensors: LayerTensors,
-    gemm: GemmShape,
-    parts: u64,
-) -> (Vec<GemmShape>, Vec<LayerTensors>) {
+pub fn plan_partition_forward(gemm: GemmShape, parts: u64) -> PartitionPlan {
     assert!(parts > 0, "need at least one partition");
     let sub_gemms = gemm.split(GemmDim::M, parts);
-    let part_tensors: Vec<LayerTensors> = (0..sub_gemms.len())
-        .map(|p| LayerTensors {
-            x: alloc(TensorClass::Ifmap, format!("X[{p}]")),
-            w: tensors.w,
-            y: alloc(TensorClass::Ofmap, format!("Y[{p}]")),
-            dx: tensors.dx,
-            dw: tensors.dw,
-            dy: tensors.dy,
-        })
-        .collect();
-    (sub_gemms, part_tensors)
+    let part_tensors = bind_parts(sub_gemms.len(), &[TensorClass::Ifmap, TensorClass::Ofmap]);
+    PartitionPlan {
+        scheme: PartitionScheme::WeightSharing,
+        sub_gemms,
+        part_tensors,
+        reduction: None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igo_npu_sim::NpuConfig;
+    use crate::schedule::{forward_schedule, BackwardOrder};
+    use igo_npu_sim::{NpuConfig, ScheduleOp};
 
-    fn setup(_gemm: GemmShape) -> (Schedule, LayerTensors, TilePolicy) {
-        let mut proto = Schedule::new("proto");
-        let tensors = LayerTensors::register(&mut proto, "l");
-        let policy = TilePolicy::for_config(&NpuConfig::large_single_core());
-        (proto, tensors, policy)
+    fn policy() -> TilePolicy {
+        TilePolicy::for_config(&NpuConfig::large_single_core())
+    }
+
+    fn plan(gemm: GemmShape, scheme: PartitionScheme, parts: u64, is_first: bool) -> PartitionPlan {
+        plan_partition_backward(gemm, 1.0, policy().dtype, scheme, parts, is_first)
+    }
+
+    /// Each partition of `plan` emitted under `order` into a fork of the
+    /// plan's tensor table.
+    fn emit(plan: &PartitionPlan, order: BackwardOrder) -> Vec<Schedule> {
+        let builders = plan.builders(policy(), 1.0);
+        let table = tensor_table(&builders);
+        (builders.iter())
+            .map(|b| {
+                let mut s = table.fork("p");
+                b.emit(order, false, &mut s);
+                s
+            })
+            .collect()
+    }
+
+    /// Whether `schedule` reads any tile of `tensor`.
+    fn reads(schedule: &Schedule, tensor: TensorId) -> bool {
+        schedule.ops().iter().any(|op| {
+            let ScheduleOp::Gemm(g) = op else {
+                return false;
+            };
+            g.reads.iter().any(|r| r.key.tensor == tensor)
+        })
     }
 
     #[test]
     fn partitions_preserve_total_macs() {
         let gemm = GemmShape::new(512, 384, 640);
-        let (proto, tensors, policy) = setup(gemm);
         for scheme in PartitionScheme::ALL {
             for parts in [2u64, 4] {
-                let p = partition_backward(
-                    &proto,
-                    tensors,
-                    gemm,
-                    policy,
-                    scheme,
-                    parts,
+                let schedules = emit(
+                    &plan(gemm, scheme, parts, false),
                     BackwardOrder::Interleaved,
-                    false,
                 );
-                let macs: u64 = p.schedules.iter().map(|s| s.total_macs()).sum();
+                let macs: u64 = schedules.iter().map(|s| s.total_macs()).sum();
                 assert_eq!(macs, gemm.backward_macs(), "{scheme} x{parts}");
             }
         }
@@ -387,141 +294,95 @@ mod tests {
     #[test]
     fn reduction_matches_scheme() {
         let gemm = GemmShape::new(256, 256, 256);
-        let (proto, tensors, policy) = setup(gemm);
-        let ws = partition_backward(
-            &proto,
-            tensors,
-            gemm,
-            policy,
-            PartitionScheme::WeightSharing,
-            2,
-            BackwardOrder::Baseline,
-            false,
-        );
+        let ws = plan(gemm, PartitionScheme::WeightSharing, 2, false);
         let red = ws.reduction.unwrap();
         assert_eq!(red.class, TensorClass::WGrad);
         assert_eq!(red.read_bytes, 2 * 256 * 256 * 4);
         assert_eq!(red.write_bytes, 256 * 256 * 4);
 
-        let dys = partition_backward(
-            &proto,
-            tensors,
-            gemm,
-            policy,
-            PartitionScheme::DySharing,
-            2,
-            BackwardOrder::Baseline,
-            false,
-        );
+        let dys = plan(gemm, PartitionScheme::DySharing, 2, false);
         assert_eq!(dys.reduction.unwrap().class, TensorClass::InGrad);
 
-        let ifm = partition_backward(
-            &proto,
-            tensors,
-            gemm,
-            policy,
-            PartitionScheme::IfmapSharing,
-            2,
-            BackwardOrder::Baseline,
-            false,
-        );
+        let ifm = plan(gemm, PartitionScheme::IfmapSharing, 2, false);
         assert!(ifm.reduction.is_none(), "ifmap-sharing needs no reduction");
     }
 
     #[test]
     fn first_layer_dy_sharing_skips_reduction() {
         let gemm = GemmShape::new(256, 27, 64);
-        let (proto, tensors, policy) = setup(gemm);
-        let p = partition_backward(
-            &proto,
-            tensors,
-            gemm,
-            policy,
-            PartitionScheme::DySharing,
-            2,
-            BackwardOrder::Interleaved,
-            true,
-        );
+        let p = plan(gemm, PartitionScheme::DySharing, 2, true);
         assert!(p.reduction.is_none());
     }
 
     #[test]
     fn shared_tensor_keeps_parent_identity() {
-        let gemm = GemmShape::new(512, 256, 512);
-        let (proto, tensors, policy) = setup(gemm);
         // ifmap-sharing shares dY: every partition must read tiles of the
         // parent dY tensor.
-        let p = partition_backward(
-            &proto,
-            tensors,
-            gemm,
-            policy,
-            PartitionScheme::IfmapSharing,
-            2,
-            BackwardOrder::Interleaved,
-            false,
-        );
-        for s in &p.schedules {
-            let reads_parent_dy = s.ops().iter().any(|op| {
-                let igo_npu_sim::ScheduleOp::Gemm(g) = op else {
-                    return false;
-                };
-                g.reads.iter().any(|r| r.key.tensor == tensors.dy)
-            });
-            assert!(reads_parent_dy, "partition must read the shared dY");
+        let gemm = GemmShape::new(512, 256, 512);
+        let p = plan(gemm, PartitionScheme::IfmapSharing, 2, false);
+        for s in &emit(&p, BackwardOrder::Interleaved) {
+            assert!(
+                reads(s, layer_tensors().dy),
+                "partition must read the shared dY"
+            );
         }
     }
 
     #[test]
     fn split_tensors_get_fresh_ids() {
-        let gemm = GemmShape::new(512, 256, 512);
-        let (proto, tensors, policy) = setup(gemm);
         // weight-sharing splits dY: no partition may touch the parent dY.
-        let p = partition_backward(
-            &proto,
-            tensors,
-            gemm,
-            policy,
-            PartitionScheme::WeightSharing,
-            2,
-            BackwardOrder::Interleaved,
-            false,
-        );
-        for s in &p.schedules {
-            let touches_parent_dy = s.ops().iter().any(|op| {
-                let igo_npu_sim::ScheduleOp::Gemm(g) = op else {
-                    return false;
-                };
-                g.reads.iter().any(|r| r.key.tensor == tensors.dy)
-            });
-            assert!(!touches_parent_dy, "split dY must use fresh ids");
+        let gemm = GemmShape::new(512, 256, 512);
+        let p = plan(gemm, PartitionScheme::WeightSharing, 2, false);
+        for s in &emit(&p, BackwardOrder::Interleaved) {
+            assert!(!reads(s, layer_tensors().dy), "split dY must use fresh ids");
         }
     }
 
     #[test]
     fn forward_partitions_cover_batch() {
         let gemm = GemmShape::new(1024, 256, 512);
-        let (proto, tensors, policy) = setup(gemm);
-        let parts = partition_forward(&proto, tensors, gemm, policy, 4);
-        assert_eq!(parts.len(), 4);
-        let macs: u64 = parts.iter().map(|s| s.total_macs()).sum();
+        let p = plan_partition_forward(gemm, 4);
+        assert_eq!(p.sub_gemms.len(), 4);
+        let builders = p.builders(policy(), 1.0);
+        let table = tensor_table(&builders);
+        let macs: u64 = (builders.iter())
+            .map(|b| {
+                let mut s = table.fork("fwd");
+                forward_schedule(b.gemm(), b.policy(), b.tensors(), 1.0, &mut s);
+                s.total_macs()
+            })
+            .sum();
         assert_eq!(macs, gemm.macs());
     }
 
     #[test]
     fn single_partition_degenerates_gracefully() {
         let gemm = GemmShape::new(64, 64, 64);
-        let (proto, tensors, policy) = setup(gemm);
-        let p = partition_backward(
-            &proto,
-            tensors,
-            gemm,
-            policy,
-            PartitionScheme::WeightSharing,
-            1,
-            BackwardOrder::Baseline,
-            false,
-        );
-        assert_eq!(p.schedules.len(), 1);
+        let p = plan(gemm, PartitionScheme::WeightSharing, 1, false);
+        assert_eq!(emit(&p, BackwardOrder::Baseline).len(), 1);
+    }
+
+    #[test]
+    fn tensor_table_registers_every_minted_id_with_its_role_class() {
+        // 40 rows split 16 ways realise 14 parts of ceil(40 / 16) = 3 rows.
+        let gemm = GemmShape::new(40, 48, 56);
+        let mut plans: Vec<PartitionPlan> = (PartitionScheme::ALL.into_iter())
+            .flat_map(|scheme| [1, 3, 16].map(|parts| plan(gemm, scheme, parts, false)))
+            .collect();
+        plans.push(plan_partition_forward(gemm, 16));
+        assert_eq!(plans.last().unwrap().sub_gemms.len(), 14);
+        for plan in &plans {
+            let builders = plan.builders(policy(), 1.0);
+            let table = tensor_table(&builders);
+            let mut bound = vec![false; table.num_tensors()];
+            for t in std::iter::once(layer_tensors()).chain(plan.part_tensors.iter().copied()) {
+                for role in LayerTensors::ROLES {
+                    let id = t.of(role);
+                    assert_eq!(table.class_of(id), role, "{:?} id {id:?}", plan.scheme);
+                    bound[id.raw() as usize] = true;
+                }
+            }
+            assert!(bound.iter().all(|&b| b), "every registered id is bound");
+        }
     }
 }

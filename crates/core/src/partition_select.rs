@@ -12,11 +12,11 @@
 //! ground truth; [`knn_partition_experiment`] reproduces the full protocol.
 
 use crate::partition::PartitionScheme;
-use crate::schedule::{BackwardOrder, LayerTensors};
+use crate::pipeline::{run_candidate, Choice, LayerDecision};
+use crate::schedule::BackwardOrder;
 use crate::select::select_order;
-use crate::tiling::TilePolicy;
 use igo_knn::{repeated_accuracy, Classifier, Split};
-use igo_npu_sim::{run_multicore, run_sequential_partitions, EngineScratch, NpuConfig, Schedule};
+use igo_npu_sim::{EngineScratch, NpuConfig};
 use igo_tensor::GemmShape;
 use igo_tensor::SplitMix64;
 
@@ -65,23 +65,14 @@ impl LabeledLayer {
 /// `parts` partitions (Algorithm-1 ordering per sub-GEMM) and label the
 /// fastest.
 pub fn label_layer(gemm: GemmShape, config: &NpuConfig, parts: u64) -> LabeledLayer {
-    let policy = TilePolicy::for_config(config);
-    let mut proto = Schedule::new("label");
-    let tensors = LayerTensors::register(&mut proto, "l");
-    let mut cycles = [0u64; 3];
-    for (idx, scheme) in PartitionScheme::ALL.iter().enumerate() {
+    let scratch = &mut EngineScratch::new();
+    let cycles = PartitionScheme::ALL.map(|scheme| {
         let sub = gemm.split(scheme.split_dim(), parts)[0];
         let order = BackwardOrder::from(select_order(sub));
-        let p = crate::partition::partition_backward(
-            &proto, tensors, gemm, policy, *scheme, parts, order, false,
-        );
-        let mc = if config.cores > 1 {
-            run_multicore(config, &p.schedules, p.reduction, &mut EngineScratch::new())
-        } else {
-            run_sequential_partitions(config, &p.schedules, p.reduction, &mut EngineScratch::new())
-        };
-        cycles[idx] = mc.cycles;
-    }
+        let partition = Some((scheme, parts));
+        let cand = Choice::new(gemm, 1.0, false, config, LayerDecision { order, partition });
+        run_candidate(&cand, config, scratch).cycles
+    });
     let best = (0..3).min_by_key(|&i| cycles[i]).expect("three schemes");
     LabeledLayer {
         gemm,

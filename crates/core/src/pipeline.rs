@@ -39,8 +39,8 @@
 use crate::bound::{candidate_bound, stream_bound, streams};
 use crate::parallel::parallel_map_workers;
 use crate::partition::{
-    fast_layer_tensors, fresh_ids, partition_backward_ex, partition_forward_ex,
-    plan_partition_backward, plan_partition_forward, PartitionPlan, PartitionScheme,
+    layer_tensors, plan_partition_backward, plan_partition_forward, tensor_table, PartitionPlan,
+    PartitionScheme,
 };
 use crate::report::{LayerOutcome, ModelReport};
 use crate::schedule::{
@@ -52,9 +52,8 @@ use crate::simcache::{self, ConfigFingerprint, Entry, Stream};
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    reduction_cycles, replay_multicore, run_multicore, run_sequential_partitions,
-    sequential_combined, AnalyticCollector, AnalyticScratch, Engine, EngineScratch,
-    MultiCoreReport, NpuConfig, Schedule, SimReport, StreamOp, TensorId, MAX_TILE_IDS,
+    combine_step, reduction_cycles, replay_multicore, AnalyticCollector, AnalyticScratch, Engine,
+    EngineScratch, NpuConfig, Schedule, ScheduleSink, SimReport, StreamOp, TensorId, MAX_TILE_IDS,
     STREAM_POSITION_BUDGET,
 };
 use igo_tensor::GemmShape;
@@ -153,14 +152,9 @@ pub struct LayerDecision {
 enum Kind {
     /// The whole layer as one stream on a single core.
     Plain,
-    /// The layer split under `scheme` into `parts` requested partitions
-    /// (`plan` may realise fewer on small layers): chained back-to-back on
-    /// a single core, one partition per core otherwise.
-    Partitioned {
-        scheme: PartitionScheme,
-        parts: u64,
-        plan: PartitionPlan,
-    },
+    /// The layer split by a plan: chained back-to-back on a single core,
+    /// one partition per core otherwise.
+    Partitioned(PartitionPlan),
 }
 
 /// The decision slot of the forward pass, which takes no decision; the
@@ -170,9 +164,17 @@ const FORWARD_DECISION: LayerDecision = LayerDecision {
     partition: None,
 };
 
-/// One capacity-independent way to execute a layer pass.
+/// One capacity-independent way to execute a layer pass: the only path
+/// from a decision to executable streams. Its [`Choice::builders`] are what
+/// the analytic back end replays, what the closed-form bounds walk and what
+/// [`Choice::schedules`] materialises for the cycle engine.
 pub(crate) struct Choice {
     pub(crate) decision: LayerDecision,
+    gemm: GemmShape,
+    density: f64,
+    is_first: bool,
+    /// Emit the forward nest rather than the decision's backward order.
+    forward: bool,
     kind: Kind,
 }
 
@@ -191,33 +193,11 @@ pub(crate) fn candidates(
     config: &NpuConfig,
 ) -> Vec<Choice> {
     use BackwardOrder::{Baseline, DwMajor, DxMajor, Interleaved};
-    let dtype = TilePolicy::for_config(config).dtype;
-    let cores = config.cores as u64;
-    let split = |order, scheme, parts| {
-        let (ids, tensors) = (&mut fresh_ids(), fast_layer_tensors());
-        let plan =
-            plan_partition_backward(ids, tensors, gemm, density, dtype, scheme, parts, is_first);
-        let partition = Some((scheme, plan.sub_gemms.len() as u64));
-        Choice {
-            decision: LayerDecision { order, partition },
-            kind: Kind::Partitioned {
-                scheme,
-                parts,
-                plan,
-            },
-        }
+    let choice = |order, partition| {
+        let decision = LayerDecision { order, partition };
+        Choice::new(gemm, density, is_first, config, decision)
     };
-    let plain = |order| {
-        let kind = match cores {
-            1 => Kind::Plain,
-            _ => split(order, PartitionScheme::WeightSharing, cores).kind,
-        };
-        let decision = LayerDecision {
-            order,
-            partition: None,
-        };
-        Choice { decision, kind }
-    };
+    let plain = |order| choice(order, None);
     let orders = |g: GemmShape| {
         let mut orders = vec![BackwardOrder::from(select_order(g)), Baseline];
         orders.dedup();
@@ -231,6 +211,7 @@ pub(crate) fn candidates(
         Technique::RearrangementOracle => [Interleaved, DxMajor, DwMajor].map(plain).into(),
         Technique::DataPartitioning => {
             // §5: a single core processes the partitions one at a time.
+            let cores = config.cores as u64;
             let (mut out, part_counts): (Vec<Choice>, &[u64]) = match cores {
                 1 => (orders(gemm).into_iter().map(plain).collect(), &[2, 4]),
                 _ => (Vec::new(), std::slice::from_ref(&cores)),
@@ -238,7 +219,7 @@ pub(crate) fn candidates(
             for scheme in PartitionScheme::ALL {
                 for &parts in part_counts {
                     for order in orders(gemm.split(scheme.split_dim(), parts)[0]) {
-                        out.push(split(order, scheme, parts));
+                        out.push(choice(order, Some((scheme, parts))));
                     }
                 }
             }
@@ -279,7 +260,7 @@ pub fn check_representable(gemm: GemmShape, config: &NpuConfig) -> Result<(), St
     // accesses over the same builders).
     for cand in candidates(gemm, 1.0, Technique::DataPartitioning, false, config) {
         let order = cand.decision.order;
-        let builders = cand.builders(gemm, 1.0, policy);
+        let builders = cand.builders(policy);
         for stream in streams(&builders, config) {
             let barriers = (stream.len() * (order.regions(false).len() - 1)) as u64;
             let positions = stream_bound(stream, order, false, &engine).accesses + barriers;
@@ -304,32 +285,6 @@ pub fn check_representable(gemm: GemmShape, config: &NpuConfig) -> Result<(), St
         }
     }
     Ok(())
-}
-
-/// The forward pass as a one-candidate list: one stream on a single core,
-/// the batch split across the cores (`W` shared) otherwise.
-fn forward_candidate(gemm: GemmShape, config: &NpuConfig) -> Choice {
-    let (parts, scheme) = (config.cores as u64, PartitionScheme::WeightSharing);
-    let split = |(sub_gemms, part_tensors)| Kind::Partitioned {
-        scheme,
-        parts,
-        plan: PartitionPlan {
-            sub_gemms,
-            part_tensors,
-            reduction: None,
-        },
-    };
-    let kind = match parts {
-        1 => Kind::Plain,
-        _ => split(plan_partition_forward(
-            &mut fresh_ids(),
-            fast_layer_tensors(),
-            gemm,
-            parts,
-        )),
-    };
-    let decision = FORWARD_DECISION;
-    Choice { decision, kind }
 }
 
 /// Which pass an evaluation answers.
@@ -357,91 +312,170 @@ impl Point {
             pass,
         }
     }
-
-    /// Emit `order`'s stream of one builder (the forward nest ignores it).
-    fn emit(&self, order: BackwardOrder, b: &BackwardBuilder, c: &mut AnalyticCollector) {
-        match self.pass {
-            Pass::Forward => forward_schedule(b.gemm(), b.policy(), b.tensors(), self.density, c),
-            Pass::Backward(_) => b.emit(order, self.is_first, c),
-        }
-    }
-
-    /// The capacity-dependent part of [`Point::emit`]'s stream.
-    fn signature(&self, order: BackwardOrder, b: &BackwardBuilder) -> EmissionSig {
-        match self.pass {
-            Pass::Forward => forward_emission_signature(b.gemm(), b.policy()),
-            Pass::Backward(_) => b.emission_signature(order, self.is_first),
-        }
-    }
 }
 
 impl Choice {
-    fn reduction(&self) -> Option<StreamOp> {
-        match &self.kind {
-            Kind::Plain => None,
-            Kind::Partitioned { plan, .. } => plan.reduction,
-        }
-    }
-
-    /// One builder per partition (the whole layer when plain) of a layer
-    /// with forward shape `gemm` and ifmap `density`, tiled by `policy`.
-    pub(crate) fn builders(
-        &self,
-        gemm: GemmShape,
-        density: f64,
-        policy: TilePolicy,
-    ) -> Vec<BackwardBuilder> {
-        let build = |g, t| BackwardBuilder::new(g, policy, t).with_ifmap_density(density);
-        match &self.kind {
-            Kind::Plain => vec![build(gemm, fast_layer_tensors())],
-            Kind::Partitioned { plan, .. } => (plan.sub_gemms.iter().zip(&plan.part_tensors))
-                .map(|(&g, &t)| build(g, t))
-                .collect(),
-        }
-    }
-
-    /// The schedules this backward candidate executes on `config`, plus the
-    /// reduction ([`decision_schedules`]). Partitions are rebuilt from the
-    /// requested part count, as the candidate's plan was.
-    pub(crate) fn schedules(
-        &self,
+    /// The backward candidate that executes `decision` on a layer with
+    /// forward shape `gemm` and ifmap `density` on `config`. An
+    /// unpartitioned decision is one stream on a single core and the
+    /// weight-sharing batch split across the cores otherwise. A partitioned
+    /// decision records the part count its split realises, which may be
+    /// fewer than requested on small layers; rebuilding from that decision
+    /// gives the same candidate.
+    pub(crate) fn new(
         gemm: GemmShape,
         density: f64,
         is_first: bool,
         config: &NpuConfig,
-    ) -> (Vec<Schedule>, Option<StreamOp>) {
-        let partition = match self.kind {
+        decision: LayerDecision,
+    ) -> Self {
+        let dtype = TilePolicy::for_config(config).dtype;
+        let plan = |(scheme, parts)| {
+            plan_partition_backward(gemm, density, dtype, scheme, parts, is_first)
+        };
+        let (partition, kind) = match decision.partition {
+            Some(split) => {
+                let plan = plan(split);
+                let realised = (plan.scheme, plan.sub_gemms.len() as u64);
+                (Some(realised), Kind::Partitioned(plan))
+            }
+            None if config.cores > 1 => {
+                let split = (PartitionScheme::WeightSharing, config.cores as u64);
+                (None, Kind::Partitioned(plan(split)))
+            }
+            None => (None, Kind::Plain),
+        };
+        Self {
+            decision: LayerDecision {
+                partition,
+                ..decision
+            },
+            gemm,
+            density,
+            is_first,
+            forward: false,
+            kind,
+        }
+    }
+
+    /// The forward pass as a candidate: one stream on a single core, the
+    /// batch split across the cores (`W` shared) otherwise.
+    pub(crate) fn forward(gemm: GemmShape, density: f64, config: &NpuConfig) -> Self {
+        let kind = match config.cores {
+            1 => Kind::Plain,
+            cores => Kind::Partitioned(plan_partition_forward(gemm, cores as u64)),
+        };
+        Self {
+            decision: FORWARD_DECISION,
+            gemm,
+            density,
+            is_first: false,
+            forward: true,
+            kind,
+        }
+    }
+
+    /// The cross-partition reduction the step pays after its streams.
+    pub(crate) fn reduction(&self) -> Option<StreamOp> {
+        match &self.kind {
             Kind::Plain => None,
-            Kind::Partitioned { scheme, parts, .. } => Some((scheme, parts)),
-        };
-        let decision = LayerDecision {
-            partition,
-            ..self.decision
-        };
-        decision_schedules(gemm, density, config, decision, is_first, "l")
+            Kind::Partitioned(plan) => plan.reduction,
+        }
+    }
+
+    /// One builder per partition (the whole layer when plain), tiled by
+    /// `policy`.
+    pub(crate) fn builders(&self, policy: TilePolicy) -> Vec<BackwardBuilder> {
+        match &self.kind {
+            Kind::Plain => vec![BackwardBuilder::new(self.gemm, policy, layer_tensors())
+                .with_ifmap_density(self.density)],
+            Kind::Partitioned(plan) => plan.builders(policy, self.density),
+        }
+    }
+
+    /// Emit this candidate's stream of one of its builders.
+    pub(crate) fn emit<S: ScheduleSink>(&self, b: &BackwardBuilder, sink: &mut S) {
+        match self.forward {
+            true => forward_schedule(b.gemm(), b.policy(), b.tensors(), self.density, sink),
+            false => b.emit(self.decision.order, self.is_first, sink),
+        }
+    }
+
+    /// The capacity-dependent part of [`Choice::emit`]'s stream.
+    fn signature(&self, b: &BackwardBuilder) -> EmissionSig {
+        match self.forward {
+            true => forward_emission_signature(b.gemm(), b.policy()),
+            false => b.emission_signature(self.decision.order, self.is_first),
+        }
+    }
+
+    /// The schedules this candidate executes on `config`: its builders
+    /// emitted into forks of one [`tensor_table`], chained into one stream
+    /// on a single core and one schedule per core otherwise.
+    pub(crate) fn schedules(&self, config: &NpuConfig) -> Vec<Schedule> {
+        let builders = self.builders(TilePolicy::for_config(config));
+        let table = tensor_table(&builders);
+        (streams(&builders, config))
+            .map(|stream| {
+                let mut s = table.fork(table.name());
+                stream.iter().for_each(|b| self.emit(b, &mut s));
+                s
+            })
+            .collect()
     }
 
     /// Closed-form admissible bound on this backward candidate's cycles on
     /// `config` ([`crate::bound`]).
-    fn bound(&self, p: &Point, config: &NpuConfig, engine: &Engine) -> u64 {
-        let builders = self.builders(p.gemm, p.density, TilePolicy::for_config(config));
+    fn bound(&self, config: &NpuConfig, engine: &Engine) -> u64 {
+        let builders = self.builders(TilePolicy::for_config(config));
         let (order, reduction) = (self.decision.order, self.reduction());
-        candidate_bound(&builders, order, p.is_first, reduction, config, engine)
+        candidate_bound(&builders, order, self.is_first, reduction, config, engine)
     }
 
     /// The stream this candidate emits, its key in the memo.
-    fn stream(&self, p: &Point) -> Stream {
-        let (order, is_first) = (self.decision.order, p.is_first);
-        match (p.pass, &self.kind) {
-            (Pass::Forward, _) => Stream::Forward,
-            (_, Kind::Plain) => Stream::Plain { order, is_first },
-            (_, Kind::Partitioned { scheme, plan, .. }) => Stream::Partition {
-                scheme: *scheme,
+    fn stream(&self) -> Stream {
+        let (order, is_first) = (self.decision.order, self.is_first);
+        match &self.kind {
+            _ if self.forward => Stream::Forward,
+            Kind::Plain => Stream::Plain { order, is_first },
+            Kind::Partitioned(plan) => Stream::Partition {
+                scheme: plan.scheme,
                 parts: plan.sub_gemms.len() as u64,
                 order,
                 is_first,
             },
         }
+    }
+
+    /// Emit and replay this candidate as one multi-core step on `config`.
+    /// The planners give every core the same tensor-role layout, so cores
+    /// with equal sub-GEMMs emit byte-identical streams: each distinct
+    /// sub-GEMM is emitted (after grid registration) and replayed once, and
+    /// every core running it shares the report. Bit-identical to emitting
+    /// and replaying every core.
+    pub(crate) fn replay_cores(
+        &self,
+        config: &NpuConfig,
+        cutoff: Option<u64>,
+        s: &mut EvalScratch,
+    ) -> Option<SimReport> {
+        let builders = self.builders(TilePolicy::for_config(config));
+        let mut leads: Vec<&BackwardBuilder> = Vec::with_capacity(builders.len());
+        let stream_of: Vec<usize> = (builders.iter())
+            .map(|b| {
+                (leads.iter().position(|l| l.gemm() == b.gemm())).unwrap_or_else(|| {
+                    leads.push(b);
+                    leads.len() - 1
+                })
+            })
+            .collect();
+        let pool = cleared_collectors(&mut s.collectors, leads.len());
+        for (b, c) in leads.iter().zip(pool.iter_mut()) {
+            b.register_grids(c);
+            self.emit(b, c);
+        }
+        let per_core: Vec<&AnalyticCollector> = stream_of.iter().map(|&k| &pool[k]).collect();
+        replay_multicore(config, &per_core, self.reduction(), &mut s.replay, cutoff)
     }
 }
 
@@ -468,72 +502,31 @@ fn cleared_collectors(pool: &mut Vec<AnalyticCollector>, n: usize) -> &mut [Anal
     &mut pool[..n]
 }
 
-/// Emit and replay one multi-core step. `plan_partition_*` gives every
-/// core the same tensor-role layout, so cores with equal sub-GEMMs emit
-/// byte-identical streams: each distinct sub-GEMM is emitted (by `emit`,
-/// after grid registration) and replayed once, and every core running it
-/// shares the report. Bit-identical to emitting and replaying every core.
-pub(crate) fn replay_cores(
-    config: &NpuConfig,
-    builders: &[BackwardBuilder],
-    emit: impl Fn(&BackwardBuilder, &mut AnalyticCollector),
-    reduction: Option<StreamOp>,
-    cutoff: Option<u64>,
-    s: &mut EvalScratch,
-) -> Option<MultiCoreReport> {
-    let mut leads: Vec<&BackwardBuilder> = Vec::with_capacity(builders.len());
-    let stream_of: Vec<usize> = builders
-        .iter()
-        .map(|b| {
-            leads
-                .iter()
-                .position(|l| l.gemm() == b.gemm())
-                .unwrap_or_else(|| {
-                    leads.push(b);
-                    leads.len() - 1
-                })
-        })
-        .collect();
-    let pool = cleared_collectors(&mut s.collectors, leads.len());
-    for (b, c) in leads.iter().zip(pool.iter_mut()) {
-        b.register_grids(c);
-        emit(b, c);
-    }
-    let per_core: Vec<&AnalyticCollector> = stream_of.iter().map(|&k| &pool[k]).collect();
-    replay_multicore(config, &per_core, reduction, &mut s.replay, cutoff)
-}
-
 /// Analytic back end: replay `cand` at each `(rung, cutoff)` of `reps`,
 /// passing every completed replay to `done(rung, report)`. On a single
-/// core, rungs whose emission signatures coincide share one emission
-/// (partition segments concatenate with no barrier, as
-/// `Schedule::append_compatible` chains them); multi-core steps go through
-/// [`replay_cores`] rung by rung.
+/// core, rungs whose emission signatures coincide share one emission (the
+/// partitions chained into one stream, as [`Choice::schedules`] chains
+/// them); multi-core steps go through [`Choice::replay_cores`] rung by
+/// rung.
 fn replay_candidate(
     cand: &Choice,
-    p: &Point,
     rungs: &Rungs,
     reps: &[(usize, Option<u64>)],
     s: &mut EvalScratch,
     mut done: impl FnMut(usize, SimReport),
 ) {
-    let (order, reduction) = (cand.decision.order, cand.reduction());
-    let emit = |b: &BackwardBuilder, c: &mut AnalyticCollector| p.emit(order, b, c);
-    let policy = |r: usize| TilePolicy::for_config(&rungs.configs[r]);
     if rungs.configs[0].cores > 1 {
         for &(r, cutoff) in reps {
-            let builders = cand.builders(p.gemm, p.density, policy(r));
-            let step = replay_cores(&rungs.configs[r], &builders, emit, reduction, cutoff, s);
-            if let Some(step) = step {
-                done(r, step.combined());
+            if let Some(step) = cand.replay_cores(&rungs.configs[r], cutoff, s) {
+                done(r, step);
             }
         }
         return;
     }
     let mut groups: Vec<(Vec<EmissionSig>, Vec<BackwardBuilder>, Vec<usize>)> = Vec::new();
     for (i, &(r, _)) in reps.iter().enumerate() {
-        let builders = cand.builders(p.gemm, p.density, policy(r));
-        let sig: Vec<EmissionSig> = builders.iter().map(|b| p.signature(order, b)).collect();
+        let builders = cand.builders(TilePolicy::for_config(&rungs.configs[r]));
+        let sig: Vec<EmissionSig> = builders.iter().map(|b| cand.signature(b)).collect();
         match groups.iter_mut().find(|(g, ..)| *g == sig) {
             Some((.., members)) => members.push(i),
             None => groups.push((sig, builders, vec![i])),
@@ -542,84 +535,26 @@ fn replay_candidate(
     for (_, builders, members) in &groups {
         let c = &mut cleared_collectors(&mut s.collectors, 1)[0];
         builders.iter().for_each(|b| b.register_grids(c));
-        builders.iter().for_each(|b| emit(b, c));
+        builders.iter().for_each(|b| cand.emit(b, c));
         for &i in members {
             let (r, cutoff) = reps[i];
-            let config = &rungs.configs[r];
-            // The selection loop only hands out cutoffs covering the reduction.
-            let inner = cutoff.map(|c| c - reduction_cycles(config, reduction));
-            if let Some(raw) = c.replay_bounded(&rungs.engines[r], &mut s.replay, inner) {
-                done(r, sequential_combined(config, raw, reduction));
+            let (config, reduction) = (&rungs.configs[r], cand.reduction());
+            if let Some(step) = replay_multicore(config, &[&*c], reduction, &mut s.replay, cutoff) {
+                done(r, step);
             }
         }
     }
 }
 
-/// The schedules a backward decision executes on `config`, plus the
-/// cross-partition reduction: one per core on a multi-core NPU (an
-/// unpartitioned decision there is the weight-sharing batch split), else
-/// one schedule, single-core partition segments concatenated as the engine
-/// chains them. Schedules and tensors are named after `name`.
-pub(crate) fn decision_schedules(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    decision: LayerDecision,
-    is_first: bool,
-    name: &str,
-) -> (Vec<Schedule>, Option<StreamOp>) {
-    let policy = TilePolicy::for_config(config);
-    let mut proto = Schedule::new(name);
-    let tensors = LayerTensors::register(&mut proto, name);
-    let (scheme, parts) = match decision.partition {
-        Some(partition) => partition,
-        None if config.cores > 1 => (PartitionScheme::WeightSharing, config.cores as u64),
-        None => {
-            let mut s = proto.fork(name);
-            BackwardBuilder::new(gemm, policy, tensors)
-                .with_ifmap_density(density)
-                .emit(decision.order, is_first, &mut s);
-            return (vec![s], None);
-        }
-    };
-    let order = decision.order;
-    let p = partition_backward_ex(
-        &proto, tensors, gemm, density, policy, scheme, parts, order, is_first,
-    );
-    let mut segments = p.schedules.into_iter();
-    if config.cores > 1 {
-        return (segments.collect(), p.reduction);
-    }
-    let mut chained = segments.next().expect("a partition has segments");
-    segments.for_each(|s| chained.append_compatible(&s));
-    (vec![chained], p.reduction)
-}
-
-/// Engine back end: materialise `cand` as schedules and run them on
-/// `config` with the cycle engine.
-fn run_candidate(cand: &Choice, p: &Point, config: &NpuConfig, s: &mut EngineScratch) -> SimReport {
-    let (schedules, reduction) = match (p.pass, &cand.kind) {
-        (Pass::Forward, _) => {
-            let policy = TilePolicy::for_config(config);
-            let mut proto = Schedule::new("fwd");
-            let tensors = LayerTensors::register(&mut proto, "l");
-            let (gemm, density, cores) = (p.gemm, p.density, config.cores as u64);
-            let schedules = if cores == 1 {
-                let mut s = proto.fork("fwd");
-                forward_schedule(gemm, policy, tensors, density, &mut s);
-                vec![s]
-            } else {
-                partition_forward_ex(&proto, tensors, gemm, density, policy, cores)
-            };
-            (schedules, None)
-        }
-        (Pass::Backward(_), _) => cand.schedules(p.gemm, p.density, p.is_first, config),
-    };
-    match config.cores {
-        1 => run_sequential_partitions(config, &schedules, reduction, s),
-        _ => run_multicore(config, &schedules, reduction, s),
-    }
-    .combined()
+/// Engine back end: run `cand`'s [`Choice::schedules`] on `config` with the
+/// cycle engine and combine the step.
+pub(crate) fn run_candidate(cand: &Choice, config: &NpuConfig, s: &mut EngineScratch) -> SimReport {
+    let engine = Engine::new(config);
+    let schedules = cand.schedules(config);
+    let reports: Vec<SimReport> = (schedules.iter())
+        .map(|schedule| engine.run_with_scratch(schedule, s))
+        .collect();
+    combine_step(config, &reports, cand.reduction())
 }
 
 /// The SPM rungs one evaluation answers: configs equal up to SPM size, in
@@ -688,7 +623,7 @@ fn evaluate(p: &Point, rungs: &Rungs, options: &SimOptions) -> Vec<(SimReport, L
         return done.into_iter().flatten().collect();
     }
     let cands = match p.pass {
-        Pass::Forward => vec![forward_candidate(gemm, &configs[0])],
+        Pass::Forward => vec![Choice::forward(gemm, density, &configs[0])],
         Pass::Backward(t) => candidates(gemm, density, t, is_first, &configs[0]),
     };
 
@@ -698,7 +633,7 @@ fn evaluate(p: &Point, rungs: &Rungs, options: &SimOptions) -> Vec<(SimReport, L
     let mut known = vec![vec![false; configs.len()]; cands.len()];
     for (ci, cand) in cands.iter().enumerate() {
         for &r in &todo {
-            if let Some((rep, _)) = get(r, Entry::Candidate(cand.stream(p))) {
+            if let Some((rep, _)) = get(r, Entry::Candidate(cand.stream())) {
                 update_best(&mut best[r], ci, rep);
                 known[ci][r] = true;
             }
@@ -713,7 +648,7 @@ fn evaluate(p: &Point, rungs: &Rungs, options: &SimOptions) -> Vec<(SimReport, L
     let prune = options.prune && cands.len() > 1;
     let bounds: Vec<Vec<u64>> = (cands.iter().filter(|_| prune))
         .map(|cand| {
-            let bound = |r: usize| cand.bound(p, &configs[r], &rungs.engines[r]);
+            let bound = |r: usize| cand.bound(&configs[r], &rungs.engines[r]);
             (0..configs.len())
                 .map(|r| if done[r].is_none() { bound(r) } else { 0 })
                 .collect()
@@ -744,14 +679,14 @@ fn evaluate(p: &Point, rungs: &Rungs, options: &SimOptions) -> Vec<(SimReport, L
                 })
                 .collect();
             let mut record = |r: usize, rep: SimReport| {
-                put(r, Entry::Candidate(cand.stream(p)), (rep, cand.decision));
+                put(r, Entry::Candidate(cand.stream()), (rep, cand.decision));
                 update_best(&mut best[r], ci, rep);
             };
             if options.analytic_fast_path {
-                replay_candidate(cand, p, rungs, &reps, s, &mut record);
+                replay_candidate(cand, rungs, &reps, s, &mut record);
             } else {
                 for &(r, _) in &reps {
-                    record(r, run_candidate(cand, p, &configs[r], &mut s.engine));
+                    record(r, run_candidate(cand, &configs[r], &mut s.engine));
                 }
             }
         }
@@ -1075,6 +1010,103 @@ mod tests {
                 assert_eq!(got.join(" "), *want, "{technique} on {}", config.name);
             }
         }
+    }
+
+    #[test]
+    fn choice_new_round_trips_every_candidate() {
+        // Rebuilding a candidate from its own decision (which records the
+        // realised part count) must give the same candidate: `observe`, the
+        // audit and the KNN labeler all execute decisions that way. The
+        // small layer's 4-way splits realise only 3 parts.
+        let configs = [
+            NpuConfig::small_edge(),
+            NpuConfig::large_single_core(),
+            NpuConfig::large_server(2),
+        ];
+        let gemms = [GemmShape::new(6, 5, 3), GemmShape::new(512, 576, 256)];
+        let mut short = 0;
+        for (config, gemm) in configs.iter().flat_map(|c| gemms.map(|g| (c, g))) {
+            let policy = TilePolicy::for_config(config);
+            let layout = |c: &Choice| -> Vec<_> {
+                let builders = c.builders(policy);
+                builders.iter().map(|b| (b.gemm(), b.tensors())).collect()
+            };
+            for (technique, is_first) in Technique::ALL
+                .into_iter()
+                .flat_map(|t| [(t, false), (t, true)])
+            {
+                for cand in candidates(gemm, 0.37, technique, is_first, config) {
+                    let again = Choice::new(gemm, 0.37, is_first, config, cand.decision);
+                    let at = format!("{:?} {technique} on {}", cand.decision, config.name);
+                    assert_eq!(again.decision, cand.decision, "{at}");
+                    assert_eq!(layout(&again), layout(&cand), "{at}");
+                    assert_eq!(again.reduction(), cand.reduction(), "{at}");
+                    short += usize::from(matches!(cand.decision.partition, Some((_, 3))));
+                }
+            }
+        }
+        assert!(
+            short > 0,
+            "some split must realise fewer parts than requested"
+        );
+    }
+
+    /// A single-core, 2-way ifmap-sharing candidate whose shared `dY`
+    /// (256 KiB) fits in SPM: its chained schedule, and each partition run
+    /// as a separate schedule on the engine.
+    fn chained_and_separate() -> (Choice, SimReport, Vec<SimReport>) {
+        let config = NpuConfig::large_single_core();
+        let gemm = GemmShape::new(256, 512, 256);
+        let order = BackwardOrder::Interleaved;
+        let partition = Some((PartitionScheme::IfmapSharing, 2));
+        let cand = Choice::new(
+            gemm,
+            1.0,
+            false,
+            &config,
+            LayerDecision { order, partition },
+        );
+        let chained = run_candidate(&cand, &config, &mut EngineScratch::new());
+        let builders = cand.builders(TilePolicy::for_config(&config));
+        let table = tensor_table(&builders);
+        let engine = Engine::new(&config);
+        let separate = (builders.iter())
+            .map(|b| {
+                let mut s = table.fork("part");
+                cand.emit(b, &mut s);
+                engine.run(&s)
+            })
+            .collect();
+        (cand, chained, separate)
+    }
+
+    #[test]
+    fn sequential_partitions_share_residency() {
+        let (cand, chained, separate) = chained_and_separate();
+        let dy = |r: &SimReport| r.traffic.read(TensorClass::OutGrad);
+        assert_eq!(separate.len(), 2);
+        assert!(
+            dy(&chained) < separate.iter().map(dy).sum::<u64>(),
+            "the second partition must re-hit the shared dY in SPM"
+        );
+        // The analytic replay of the chained stream equals the engine.
+        let config = NpuConfig::large_single_core();
+        let mut c = AnalyticCollector::new();
+        let builders = cand.builders(TilePolicy::for_config(&config));
+        builders.iter().for_each(|b| b.register_grids(&mut c));
+        builders.iter().for_each(|b| cand.emit(b, &mut c));
+        let scratch = &mut AnalyticScratch::new();
+        let replayed = replay_multicore(&config, &[&c], cand.reduction(), scratch, None);
+        assert_eq!(replayed, Some(chained));
+    }
+
+    #[test]
+    fn sequential_partitions_accumulate_time() {
+        let (_, chained, separate) = chained_and_separate();
+        for part in &separate {
+            assert!(chained.cycles > part.cycles);
+        }
+        assert_eq!(chained.macs, separate.iter().map(|r| r.macs).sum::<u64>());
     }
 
     #[test]

@@ -66,10 +66,7 @@ pub use analytic::{
 pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};
 pub use engine::{engine_run_count, Engine, EngineScratch, Replacement};
-pub use multicore::{
-    reduction_cycles, replay_multicore, run_multicore, run_sequential_partitions,
-    sequential_combined, MultiCoreReport,
-};
+pub use multicore::{combine_step, reduction_cycles, replay_multicore};
 pub use opt::{
     OptCache, ReplayOptCache, MAX_STREAM_POSITIONS, MAX_TILE_IDS, STREAM_POSITION_BUDGET,
 };

@@ -1,72 +1,31 @@
-//! Multi-core execution and sequential partition chaining.
+//! Multi-core steps and their reduction.
 //!
 //! §6.3 of the paper evaluates 1–8 core NPUs in which "DRAM bandwidth, SPM
 //! size, and batch size increase proportionally with the growth in the
 //! number of cores, with all cores sharing the SPM". We model that as:
 //!
-//! * each core runs its own [`Engine`] over its partition's schedule, with
-//!   an even slice of the shared SPM and an even share of the aggregate
-//!   DRAM bandwidth;
+//! * each core runs its own stream, with an even slice of the shared SPM
+//!   and an even share of the aggregate DRAM bandwidth;
 //! * the step time is the slowest core's makespan plus, for partitioning
 //!   schemes that need it, a cross-partition **reduction** of the partial
 //!   gradient tensors at aggregate bandwidth (weight-sharing partitioning
 //!   accumulates `dW` partials; dY-sharing accumulates `dX`; ifmap-sharing
 //!   needs none — §5).
 //!
-//! [`run_sequential_partitions`] is the single-core analogue: the
-//! partition schedules (compatible forks of one parent) are concatenated
-//! and executed as one stream, so SPM residency — including the shared
-//! tensor's tiles — carries across partition boundaries, plus the same
-//! reduction traffic.
+//! [`combine_step`] is that step over finished per-core reports. A single
+//! core is its one-report case: partitions chained into one stream (so SPM
+//! residency, the shared tensor's tiles included, carries across partition
+//! boundaries), then the same reduction. [`replay_multicore`] produces the
+//! per-core reports by analytic replay.
 
 use crate::analytic::{AnalyticCollector, AnalyticScratch};
 use crate::config::NpuConfig;
-use crate::engine::{Engine, EngineScratch};
+use crate::engine::Engine;
 use crate::stats::{SimReport, Traffic};
-use crate::trace::{Schedule, StreamOp};
-
-/// Result of a multi-core step.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MultiCoreReport {
-    /// Per-core reports (one combined report for the sequential case).
-    pub core_reports: Vec<SimReport>,
-    /// Cycles spent in the cross-partition reduction (0 when none needed).
-    pub reduction_cycles: u64,
-    /// Step makespan: slowest core plus reduction.
-    pub cycles: u64,
-    /// Aggregate DRAM traffic of all cores plus the reduction.
-    pub traffic: Traffic,
-}
-
-impl MultiCoreReport {
-    /// Total MACs across cores.
-    pub fn macs(&self) -> u64 {
-        self.core_reports.iter().map(|r| r.macs).sum()
-    }
-
-    /// The step collapsed into one [`SimReport`]: the step makespan and
-    /// aggregate traffic, with the per-core counters summed.
-    pub fn combined(&self) -> SimReport {
-        let mut out = SimReport {
-            cycles: self.cycles,
-            traffic: self.traffic,
-            ..Default::default()
-        };
-        for r in &self.core_reports {
-            out.compute_cycles += r.compute_cycles;
-            out.mem_cycles += r.mem_cycles;
-            out.spm_hits += r.spm_hits;
-            out.spm_misses += r.spm_misses;
-            out.gemm_ops += r.gemm_ops;
-            out.macs += r.macs;
-            out.spm_bytes_touched += r.spm_bytes_touched;
-        }
-        out
-    }
-}
+use crate::trace::StreamOp;
 
 /// Cycles the cross-partition reduction alone would take on `config` (no
-/// traffic accounting) — the exact term [`run_multicore`] adds to the
+/// traffic accounting) — the exact term [`combine_step`] adds to the
 /// slowest core. Used by analytical candidate lower bounds.
 pub fn reduction_cycles(config: &NpuConfig, reduction: Option<StreamOp>) -> u64 {
     let mut scratch = Traffic::new();
@@ -94,119 +53,46 @@ fn reduction_cost(config: &NpuConfig, reduction: Option<StreamOp>, traffic: &mut
     }
 }
 
-/// Collapse one inner (concatenated-segments) report plus the reduction
-/// into a combined [`SimReport`] — exactly what
-/// [`run_sequential_partitions`]'s `.combined()` yields, without
-/// re-running the segments. Used by the capacity-ladder pipeline, which
-/// replays the inner stream once per SPM rung and pays the
-/// (capacity-independent) reduction afterwards.
-pub fn sequential_combined(
+/// One step over finished per-core reports, as one [`SimReport`]: the
+/// slowest core's cycles plus the reduction's, the cores' traffic plus the
+/// reduction's, and the per-core counters summed.
+///
+/// `reports.len()` may be smaller than `config.cores` (idle cores), but not
+/// larger; a single core's chained stream is one report.
+///
+/// # Panics
+///
+/// Panics if more reports than cores are supplied.
+pub fn combine_step(
     config: &NpuConfig,
-    inner: SimReport,
+    reports: &[SimReport],
     reduction: Option<StreamOp>,
 ) -> SimReport {
-    let mut traffic = inner.traffic;
-    let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
-    SimReport {
-        cycles: inner.cycles + reduction_cycles,
-        traffic,
-        ..inner
-    }
-}
-
-/// Run one schedule per core concurrently, reusing `scratch`'s buffers
-/// across the per-core engine runs (the cores are simulated one after
-/// another, so one scratch serves them all).
-///
-/// `per_core.len()` may be smaller than `config.cores` (idle cores), but
-/// not larger.
-///
-/// # Panics
-///
-/// Panics if more schedules than cores are supplied.
-pub fn run_multicore(
-    config: &NpuConfig,
-    per_core: &[Schedule],
-    reduction: Option<StreamOp>,
-    scratch: &mut EngineScratch,
-) -> MultiCoreReport {
     assert!(
-        per_core.len() <= config.cores as usize,
-        "{} schedules for {} cores",
-        per_core.len(),
+        reports.len() <= config.cores as usize,
+        "{} reports for {} cores",
+        reports.len(),
         config.cores
     );
-    let engine = Engine::new(config);
-    let core_reports: Vec<SimReport> = per_core
-        .iter()
-        .map(|s| engine.run_with_scratch(s, scratch))
-        .collect();
-    combine_cores(config, core_reports, reduction)
+    let mut step = SimReport::default();
+    reports.iter().for_each(|r| step.chain(r));
+    let slowest = reports.iter().map(|r| r.cycles).max().unwrap_or(0);
+    step.cycles = slowest + reduction_cost(config, reduction, &mut step.traffic);
+    step
 }
 
-/// The step over finished per-core reports: aggregate traffic, slowest
-/// core, then the reduction.
-fn combine_cores(
-    config: &NpuConfig,
-    core_reports: Vec<SimReport>,
-    reduction: Option<StreamOp>,
-) -> MultiCoreReport {
-    let mut traffic = Traffic::new();
-    for r in &core_reports {
-        traffic.merge(&r.traffic);
-    }
-    let slowest = core_reports.iter().map(|r| r.cycles).max().unwrap_or(0);
-    let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
-    MultiCoreReport {
-        core_reports,
-        reduction_cycles,
-        cycles: slowest + reduction_cycles,
-        traffic,
-    }
-}
-
-/// Run partition segments back-to-back on a single core (one concatenated
-/// stream, so residency crosses segment boundaries), then pay the
-/// reduction.
-///
-/// # Panics
-///
-/// Panics if the segments' tensor tables differ (they must be compatible
-/// forks of one parent — see [`Schedule::append_compatible`]).
-pub fn run_sequential_partitions(
-    config: &NpuConfig,
-    segments: &[Schedule],
-    reduction: Option<StreamOp>,
-    scratch: &mut EngineScratch,
-) -> MultiCoreReport {
-    let engine = Engine::new(config);
-    let report = match segments {
-        [] => SimReport::default(),
-        [single] => engine.run_with_scratch(single, scratch),
-        [first, rest @ ..] => {
-            let mut combined = first.clone();
-            for s in rest {
-                combined.append_compatible(s);
-            }
-            engine.run_with_scratch(&combined, scratch)
-        }
-    };
-    combine_cores(config, vec![report], reduction)
-}
-
-/// [`run_multicore`] over analytic collectors instead of materialised
-/// schedules: each core's stream is replayed exactly, then the combine
-/// math (aggregate traffic, slowest core, reduction) is applied verbatim,
-/// so the result is bit-identical to running the equivalent schedules.
+/// [`combine_step`] over analytic collectors, one per core: each core's
+/// stream is replayed exactly, so the result is bit-identical to running
+/// the equivalent schedules on the [`Engine`] and combining their reports.
 ///
 /// Cores that run the *same* collector (equal references) are replayed
 /// once and share the report: a core whose stream is byte-identical to an
 /// earlier core's costs nothing.
 ///
 /// With a cycle `cutoff`, returns `None` as soon as any core's replay
-/// proves the combined cycle count (slowest core plus reduction) must
-/// exceed `cutoff` — any single core exceeding the post-reduction budget
-/// is enough, since the makespan takes the maximum.
+/// proves the step's cycle count (slowest core plus reduction) must exceed
+/// `cutoff` — any single core exceeding the post-reduction budget is
+/// enough, since the makespan takes the maximum.
 ///
 /// # Panics
 ///
@@ -217,7 +103,7 @@ pub fn replay_multicore(
     reduction: Option<StreamOp>,
     scratch: &mut AnalyticScratch,
     cutoff: Option<u64>,
-) -> Option<MultiCoreReport> {
+) -> Option<SimReport> {
     assert!(
         per_core.len() <= config.cores as usize,
         "{} collectors for {} cores",
@@ -231,21 +117,21 @@ pub fn replay_multicore(
         None => None,
     };
     let engine = Engine::new(config);
-    let mut core_reports: Vec<SimReport> = Vec::with_capacity(per_core.len());
+    let mut reports: Vec<SimReport> = Vec::with_capacity(per_core.len());
     for (i, &c) in per_core.iter().enumerate() {
         let report = match per_core[..i].iter().position(|&e| std::ptr::eq(e, c)) {
-            Some(j) => core_reports[j],
+            Some(j) => reports[j],
             None => c.replay_bounded(&engine, scratch, inner_cutoff)?,
         };
-        core_reports.push(report);
+        reports.push(report);
     }
-    Some(combine_cores(config, core_reports, reduction))
+    Some(combine_step(config, &reports, reduction))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TileOp;
+    use crate::trace::{Schedule, TileOp};
     use igo_tensor::{GemmShape, TensorClass, TileCoord};
 
     fn schedule(tiles: u32) -> Schedule {
@@ -261,129 +147,93 @@ mod tests {
         s
     }
 
+    /// One engine report per schedule, as each core would run it.
+    fn reports(config: &NpuConfig, schedules: &[Schedule]) -> Vec<SimReport> {
+        let engine = Engine::new(config);
+        schedules.iter().map(|s| engine.run(s)).collect()
+    }
+
     #[test]
     fn multicore_takes_slowest_core() {
         let config = NpuConfig::large_server(2);
-        let fast = schedule(2);
-        let slow = schedule(20);
-        let r = run_multicore(&config, &[fast, slow], None, &mut EngineScratch::new());
-        assert_eq!(r.core_reports.len(), 2);
-        assert_eq!(
-            r.cycles,
-            r.core_reports.iter().map(|c| c.cycles).max().unwrap()
-        );
-        assert!(r.core_reports[0].cycles < r.core_reports[1].cycles);
+        let cores = reports(&config, &[schedule(2), schedule(20)]);
+        let step = combine_step(&config, &cores, None);
+        assert!(cores[0].cycles < cores[1].cycles);
+        assert_eq!(step.cycles, cores[1].cycles);
     }
 
     #[test]
     fn reduction_adds_cycles_and_traffic() {
         let config = NpuConfig::large_server(2);
-        let parts = [schedule(4), schedule(4)];
-        let without = run_multicore(&config, &parts, None, &mut EngineScratch::new());
-        let with = run_multicore(
-            &config,
-            &parts,
-            Some(StreamOp {
-                class: TensorClass::WGrad,
-                read_bytes: 1 << 20,
-                write_bytes: 1 << 20,
-            }),
-            &mut EngineScratch::new(),
-        );
+        let cores = reports(&config, &[schedule(4), schedule(4)]);
+        let without = combine_step(&config, &cores, None);
+        let reduction = Some(StreamOp {
+            class: TensorClass::WGrad,
+            read_bytes: 1 << 20,
+            write_bytes: 1 << 20,
+        });
+        let with = combine_step(&config, &cores, reduction);
         assert!(with.cycles > without.cycles);
         assert_eq!(with.traffic.read(TensorClass::WGrad), 1 << 20);
-        assert!(with.reduction_cycles > 0);
+        assert_eq!(
+            with.cycles - without.cycles,
+            reduction_cycles(&config, reduction)
+        );
     }
 
     #[test]
     fn idle_cores_allowed() {
         let config = NpuConfig::large_server(4);
-        let r = run_multicore(&config, &[schedule(4)], None, &mut EngineScratch::new());
-        assert_eq!(r.core_reports.len(), 1);
-        assert!(r.cycles > 0);
+        let step = combine_step(&config, &reports(&config, &[schedule(4)]), None);
+        assert!(step.cycles > 0);
     }
 
     #[test]
-    #[should_panic(expected = "schedules for")]
+    #[should_panic(expected = "reports for")]
     fn too_many_schedules_panics() {
         let config = NpuConfig::large_single_core();
-        let _ = run_multicore(
-            &config,
-            &[schedule(1), schedule(1)],
-            None,
-            &mut EngineScratch::new(),
-        );
-    }
-
-    #[test]
-    fn sequential_partitions_accumulate_time() {
-        let config = NpuConfig::large_single_core();
-        let parts = [schedule(400), schedule(400)];
-        let seq = run_sequential_partitions(&config, &parts, None, &mut EngineScratch::new());
-        let single =
-            run_sequential_partitions(&config, &parts[..1], None, &mut EngineScratch::new());
-        assert!(seq.cycles > single.cycles);
-    }
-
-    #[test]
-    fn sequential_partitions_share_residency() {
-        // Two identical small segments (same tensor table, same tile
-        // keys): the second pass re-hits the first pass's tiles, so total
-        // traffic equals a single segment's.
-        let config = NpuConfig::large_single_core();
-        let parts = [schedule(4), schedule(4)];
-        let seq = run_sequential_partitions(&config, &parts, None, &mut EngineScratch::new());
-        let single =
-            run_sequential_partitions(&config, &parts[..1], None, &mut EngineScratch::new());
-        assert_eq!(
-            seq.traffic.read_total(),
-            single.traffic.read_total(),
-            "second segment must hit in SPM"
-        );
+        let cores = reports(&config, &[schedule(1), schedule(1)]);
+        let _ = combine_step(&config, &cores, None);
     }
 
     #[test]
     fn empty_reduction_is_free() {
         let config = NpuConfig::large_single_core();
-        let r = run_sequential_partitions(
-            &config,
-            &[schedule(1)],
-            Some(StreamOp {
-                class: TensorClass::InGrad,
-                read_bytes: 0,
-                write_bytes: 0,
-            }),
-            &mut EngineScratch::new(),
-        );
-        assert_eq!(r.reduction_cycles, 0);
+        let single = reports(&config, &[schedule(1)]);
+        let reduction = Some(StreamOp {
+            class: TensorClass::InGrad,
+            read_bytes: 0,
+            write_bytes: 0,
+        });
+        assert_eq!(reduction_cycles(&config, reduction), 0);
+        assert_eq!(combine_step(&config, &single, reduction), single[0]);
     }
 
     #[test]
     fn combined_sums_per_core_counters() {
         let config = NpuConfig::large_server(2);
-        let parts = [schedule(4), schedule(6)];
+        let cores = reports(&config, &[schedule(4), schedule(6)]);
         let reduction = Some(StreamOp {
             class: TensorClass::WGrad,
             read_bytes: 1 << 16,
             write_bytes: 1 << 16,
         });
-        let mc = run_multicore(&config, &parts, reduction, &mut EngineScratch::new());
-        let c = mc.combined();
-        assert_eq!(c.cycles, mc.cycles);
-        assert_eq!(c.traffic, mc.traffic);
-        assert_eq!(c.macs, mc.macs());
-        assert_eq!(
-            c.gemm_ops,
-            mc.core_reports.iter().map(|r| r.gemm_ops).sum::<u64>()
-        );
-        assert_eq!(reduction_cycles(&config, reduction), mc.reduction_cycles);
+        let step = combine_step(&config, &cores, reduction);
+        let slowest = cores.iter().map(|r| r.cycles).max().unwrap();
+        assert_eq!(step.cycles, slowest + reduction_cycles(&config, reduction));
+        assert_eq!(step.macs, cores.iter().map(|r| r.macs).sum::<u64>());
+        assert_eq!(step.gemm_ops, cores.iter().map(|r| r.gemm_ops).sum::<u64>());
+        let mut traffic = cores[0].traffic;
+        traffic.merge(&cores[1].traffic);
+        traffic.add_read(TensorClass::WGrad, 1 << 16);
+        traffic.add_write(TensorClass::WGrad, 1 << 16);
+        assert_eq!(step.traffic, traffic);
         assert_eq!(reduction_cycles(&config, None), 0);
     }
 
     #[test]
     fn empty_segments_are_free() {
         let config = NpuConfig::large_single_core();
-        let r = run_sequential_partitions(&config, &[], None, &mut EngineScratch::new());
-        assert_eq!(r.cycles, 0);
+        assert_eq!(combine_step(&config, &[], None), SimReport::default());
     }
 }

@@ -359,8 +359,7 @@ struct TensorInfo {
 ///
 /// The tensor table is behind an [`Arc`]: forking a schedule (the partition
 /// builders create one fork per partition) shares the table instead of
-/// cloning it, and only a post-fork `add_tensor`/`extend_from` pays for a
-/// copy-on-write.
+/// cloning it, and only a post-fork `add_tensor` pays for a copy-on-write.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     name: String,
@@ -490,46 +489,6 @@ impl Schedule {
             .sum()
     }
 
-    /// Append the ops of a schedule that shares this schedule's tensor
-    /// table verbatim (a fellow fork of the same, fully registered parent).
-    /// Tile identities are preserved, so residency carries across the
-    /// boundary — this is how sequential single-core partitions are chained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor tables differ.
-    pub fn append_compatible(&mut self, other: &Schedule) {
-        assert!(
-            Arc::ptr_eq(&self.tensors, &other.tensors) || self.tensors == other.tensors,
-            "append_compatible requires identical tensor tables"
-        );
-        self.ops.extend(other.ops.iter().cloned());
-    }
-
-    /// Append all ops (and remap tensors) of `other` onto `self`,
-    /// returning nothing; used to chain per-partition schedules into one
-    /// sequential single-core stream.
-    pub fn extend_from(&mut self, other: &Schedule) {
-        let base = self.tensors.len() as u32;
-        Arc::make_mut(&mut self.tensors).extend(other.tensors.iter().cloned());
-        for op in &other.ops {
-            match op {
-                ScheduleOp::Gemm(g) => {
-                    let mut g = g.clone();
-                    for r in g.reads.iter_mut() {
-                        r.key.tensor = TensorId(r.key.tensor.0 + base);
-                    }
-                    if let Some(a) = &mut g.acc {
-                        a.key.tensor = TensorId(a.key.tensor.0 + base);
-                    }
-                    self.ops.push(ScheduleOp::Gemm(g));
-                }
-                ScheduleOp::Stream(s) => self.ops.push(ScheduleOp::Stream(*s)),
-                ScheduleOp::Barrier => self.ops.push(ScheduleOp::Barrier),
-            }
-        }
-    }
-
     /// Iterate over distinct tile keys read as operands, with the bytes of
     /// each (first occurrence wins). Useful for footprint statistics.
     pub fn unique_operand_bytes(&self) -> u64 {
@@ -589,18 +548,6 @@ mod tests {
         // 4 ops x 2 reads x 1 KiB named; all 8 keys distinct.
         assert_eq!(s.named_read_bytes(), 8 * 1024);
         assert_eq!(s.unique_operand_bytes(), 8 * 1024);
-    }
-
-    #[test]
-    fn extend_remaps_tensor_ids() {
-        let mut a = demo_schedule();
-        let b = demo_schedule();
-        a.extend_from(&b);
-        assert_eq!(a.num_tensors(), 6);
-        assert_eq!(a.len(), 8);
-        // The second half's tile keys must not collide with the first's.
-        assert_eq!(a.unique_operand_bytes(), 16 * 1024);
-        assert_eq!(a.total_macs(), 2 * 4 * 16 * 16 * 16);
     }
 
     #[test]

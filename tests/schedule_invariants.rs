@@ -4,7 +4,7 @@
 //! property-based sweep, so the suite runs with no external dependencies.)
 
 use igo_core::{
-    partition::{partition_backward, PartitionScheme},
+    partition::{plan_partition_backward, tensor_table, PartitionScheme},
     BackwardBuilder, BackwardOrder, LayerTensors, TilePolicy,
 };
 use igo_npu_sim::{Engine, NpuConfig, Schedule, ScheduleOp};
@@ -126,21 +126,14 @@ fn partitions_preserve_macs() {
     for _ in 0..24 {
         let gemm = sample(&mut rng, (8, 800), (8, 600), (8, 600));
         let parts = rng.range_u64(2, 5);
-        let mut proto = Schedule::new("p");
-        let tensors = LayerTensors::register(&mut proto, "l");
         for scheme in PartitionScheme::ALL {
-            let p = partition_backward(
-                &proto,
-                tensors,
-                gemm,
-                policy(),
-                scheme,
-                parts,
-                BackwardOrder::Interleaved,
-                false,
-            );
-            let macs: u64 = p.schedules.iter().map(|s| s.total_macs()).sum();
-            assert_eq!(macs, gemm.backward_macs(), "{}", scheme);
+            let p = plan_partition_backward(gemm, 1.0, policy().dtype, scheme, parts, false);
+            let builders = p.builders(policy(), 1.0);
+            let mut chained = tensor_table(&builders);
+            for b in &builders {
+                b.emit(BackwardOrder::Interleaved, false, &mut chained);
+            }
+            assert_eq!(chained.total_macs(), gemm.backward_macs(), "{}", scheme);
             match scheme {
                 PartitionScheme::IfmapSharing => assert!(p.reduction.is_none()),
                 _ => assert!(p.reduction.is_some()),
